@@ -1,7 +1,7 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     EXCITED,
@@ -16,13 +16,11 @@ from .core import (
     normalize,
 )
 from .dynamics import (
-    TrajectoryRecord,
     conditional_excited_prob,
     jump_hazard,
     no_jump_evolve,
     no_jump_survival,
-    run_trajectory,
-    sample_jump_time,
+    sample_jump_times,
 )
 from .ensemble import (
     EnsembleConfig,
@@ -64,13 +62,11 @@ __all__ = [
     "fidelity",
     "free_evolve",
     "normalize",
-    "TrajectoryRecord",
     "conditional_excited_prob",
     "jump_hazard",
     "no_jump_evolve",
     "no_jump_survival",
-    "run_trajectory",
-    "sample_jump_time",
+    "sample_jump_times",
     "EnsembleConfig",
     "EnsembleStats",
     "expected_blackened",

@@ -11,8 +11,7 @@ ev                Two-splitter interferometer with optional blocker:
 master-check      Trajectory average vs the master-equation oracle;
                   exits 3 when the deviation exceeds the tolerance.
 
-Every run is deterministic under a fixed --seed, independent of thread
-count (cap threads with the NULLSHADOW_THREADS environment variable).
+Every run is deterministic under a fixed --seed.
 Exit codes: 0 success, 1 I/O failure, 2 usage/configuration error,
 3 oracle tolerance exceeded.
 """
@@ -204,8 +203,8 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> int:
 def cmd_conditional_state(args: argparse.Namespace) -> int:
     initial = QubitState.from_excited_probability(args.p_excited)
     params = AtomParams(e0=0.0, e1=1.0, gamma=args.gamma)
-    if args.horizon <= 0.0:
-        raise ConfigurationError(f"horizon must be positive, got {args.horizon}")
+    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise ConfigurationError(f"horizon must be positive and finite, got {args.horizon}")
     if args.grid < 2:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
     grid = np.linspace(0.0, args.horizon, args.grid)
@@ -250,6 +249,8 @@ def cmd_ev(args: argparse.Namespace) -> int:
     probs = detection_probs(cfg)
     if args.shots < 0:
         raise ConfigurationError(f"shots must be nonnegative, got {args.shots}")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigurationError("seed must fit in 64 unsigned bits")
     summary = {
         "p_d1": probs.p_d1,
         "p_d2": probs.p_d2,
@@ -298,6 +299,8 @@ def cmd_master_check(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
     tol = args.tol if args.tol is not None else 5.0 / math.sqrt(args.n_traj)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigurationError(f"tol must be nonnegative and finite, got {tol}")
 
     ecfg = EnsembleConfig(
         n_atoms=args.n_traj,
@@ -307,9 +310,9 @@ def cmd_master_check(args: argparse.Namespace) -> int:
         grid_points=2,
         base_seed=args.seed,
     )
-    jump_times = [r.jump_time for r in run_trajectories(ecfg)]
+    jump_times = run_trajectories(ecfg)
 
-    n_steps = int(round(args.horizon / args.dt))
+    n_steps = MasterRunConfig(dt=args.dt, t_max=args.horizon).n_steps
     mcfg = MasterRunConfig(
         dt=args.dt,
         t_max=args.horizon,

@@ -69,6 +69,9 @@ class AtomParams:
     gamma: float
 
     def __post_init__(self) -> None:
+        for name, value in (("e0", self.e0), ("e1", self.e1), ("gamma", self.gamma)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not self.e1 >= self.e0:
             raise ConfigurationError(
                 f"excited energy must not lie below ground energy, got e0={self.e0}, e1={self.e1}"

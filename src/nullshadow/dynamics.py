@@ -24,24 +24,10 @@ caller; there is no hidden generator state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import GROUND, AtomParams, QubitState, free_evolve, normalize
+import numpy as np
 
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Fate of one atom over a finite horizon.
-
-    ``jump_time`` is present iff the atom emitted within the horizon;
-    ``blackened`` mirrors that (the detector above the atom fired).
-    ``final_state`` is the ground state after a jump, otherwise the
-    no-jump conditioned state at the horizon.
-    """
-
-    jump_time: float | None
-    final_state: QubitState
-    blackened: bool
+from .core import AtomParams, QubitState, free_evolve, normalize
 
 
 def no_jump_evolve(state: QubitState, params: AtomParams, t: float) -> QubitState:
@@ -81,36 +67,26 @@ def no_jump_survival(p1: float, gamma: float, t: float) -> float:
     return (1.0 - p1) + p1 * math.exp(-gamma * t)
 
 
-def sample_jump_time(state: QubitState, params: AtomParams, u: float) -> float | None:
-    """Exact first-emission time by inverse-transform sampling.
+def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np.ndarray:
+    """Exact first-emission times by inverse-transform sampling.
 
     With p1 = |a1|^2 the emission-time CDF is p1 * (1 - exp(-gamma t)),
-    so a uniform u >= p1 lands in the never-emits mass (returns None)
-    and u < p1 maps to t* = -ln(1 - u / p1) / gamma.  For gamma = 0
-    there is no decay channel and the result is always None.
+    so a uniform u >= p1 lands in the never-emits mass (``inf``) and
+    u < p1 maps to t* = -ln(1 - u / p1) / gamma.  For gamma = 0 there is
+    no decay channel and every time is ``inf``.  ``p1`` is one weight
+    shared by all atoms, or one weight per atom.
     """
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform variate must be in [0, 1), got {u}")
-    p1 = state.excited_population
-    if params.gamma == 0.0 or u >= p1:
-        return None
-    return -math.log1p(-u / p1) / params.gamma
-
-
-def run_trajectory(
-    state: QubitState, params: AtomParams, horizon: float, u: float
-) -> TrajectoryRecord:
-    """Evolve one atom to the horizon, jumping at most once."""
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    t_jump = sample_jump_time(state, params, u)
-    if t_jump is not None and t_jump <= horizon:
-        return TrajectoryRecord(jump_time=t_jump, final_state=GROUND, blackened=True)
-    return TrajectoryRecord(
-        jump_time=None,
-        final_state=no_jump_evolve(state, params, horizon),
-        blackened=False,
-    )
+    u = np.asarray(u, dtype=float)
+    p1 = np.broadcast_to(np.asarray(p1, dtype=float), u.shape)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniform variates must lie in [0, 1)")
+    times = np.full(u.shape, np.inf)
+    if gamma == 0.0:
+        return times
+    emits = u < p1
+    with np.errstate(over="ignore"):
+        times[emits] = -np.log1p(-u[emits] / p1[emits]) / gamma
+    return times
 
 
 def conditional_excited_prob(p1: float, gamma: float, t: float) -> float:

@@ -13,32 +13,30 @@ identical, but survivors form a ground/excited mixture instead of a
 coherent conditioned state; exposing both variants side by side is the
 point of the module.
 
+An atom's whole history is its first-emission time, so the ensemble is
+one array of jump times (``inf`` for atoms silent up to the horizon).
+
 Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
-bit-identical for a given seed no matter how work is chunked across
-threads.  The ``NULLSHADOW_THREADS`` environment variable caps the
-worker count without affecting any result.
+bit-identical for a given seed.  The ``NULLSHADOW_THREADS`` environment
+variable is not read.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EXCITED, GROUND, AtomParams, ConfigurationError, QubitState, fidelity
-from .dynamics import TrajectoryRecord, conditional_excited_prob, no_jump_evolve, run_trajectory
-from .streams import uniform_at, uniforms_at
+from .core import GROUND, AtomParams, ConfigurationError, QubitState
+from .dynamics import conditional_excited_prob, no_jump_evolve, sample_jump_times
+from .streams import uniforms_at
 
 # Fixed draw-slot layout of each atom's substream.
 SLOT_PREMEASURE = 0
 SLOT_JUMP = 1
 SLOT_MEASURE_BASE = 2  # slot 2 + g measures the survivor at grid index g
-
-_CHUNK = 8192  # atoms per work unit; independent of the worker count
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,13 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_atoms < 1:
             raise ConfigurationError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.horizon <= 0.0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.grid_points < 2:
             raise ConfigurationError(f"grid_points must be >= 2, got {self.grid_points}")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigurationError("base_seed must fit in 64 unsigned bits")
-        if abs(self.initial.norm - 1.0) > 1e-9:
+        if not abs(self.initial.norm - 1.0) <= 1e-9:
             raise ConfigurationError("initial state must be normalized")
 
 
@@ -92,72 +90,45 @@ def survivor_state(t: float, initial: QubitState, params: AtomParams) -> QubitSt
     return no_jump_evolve(initial, params, t)
 
 
-def run_trajectories(cfg: EnsembleConfig, threads: int | None = None) -> list[TrajectoryRecord]:
-    """Per-atom trajectory records, keyed by atom index.
+def run_trajectories(cfg: EnsembleConfig) -> np.ndarray:
+    """Jump time of every atom, indexed by atom; ``inf`` past the horizon.
 
     Atom i uses draw slot SLOT_PREMEASURE for the optional initial
     collapse and SLOT_JUMP for its emission time, so the premeasure
     variant reuses the very same jump variates.
     """
-    p1 = cfg.initial.excited_population
-    records: list[TrajectoryRecord | None] = [None] * cfg.n_atoms
-
-    def work(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            state = cfg.initial
-            if cfg.premeasure:
-                u_pre = uniform_at(cfg.base_seed, i, SLOT_PREMEASURE)
-                state = EXCITED if u_pre < p1 else GROUND
-            u_jump = uniform_at(cfg.base_seed, i, SLOT_JUMP)
-            records[i] = run_trajectory(state, cfg.params, cfg.horizon, u_jump)
-
-    workers = _resolve_workers(threads)
-    chunks = [(s, min(s + _CHUNK, cfg.n_atoms)) for s in range(0, cfg.n_atoms, _CHUNK)]
-    if workers == 1 or len(chunks) == 1:
-        for start, stop in chunks:
-            work(start, stop)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(work, s, e) for s, e in chunks]:
-                future.result()
-    return records  # type: ignore[return-value]
+    u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_JUMP)
+    times = sample_jump_times(_excited_weights(cfg), cfg.params.gamma, u)
+    times[times > cfg.horizon] = np.inf
+    return times
 
 
-def run_ensemble(cfg: EnsembleConfig, threads: int | None = None) -> EnsembleStats:
+def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Simulate the full cell array and aggregate it on the time grid."""
-    records = run_trajectories(cfg, threads=threads)
+    jump_times = run_trajectories(cfg)
     grid = np.linspace(0.0, cfg.horizon, cfg.grid_points)
-    jump_times = np.array(
-        [r.jump_time if r.jump_time is not None else np.inf for r in records]
-    )
     blackened = np.searchsorted(np.sort(jump_times), grid, side="right")
 
-    p1 = cfg.initial.excited_population
-    gamma = cfg.params.gamma
+    weights = _excited_weights(cfg)
     if cfg.premeasure:
         # Survivors are a ground/excited mixture; report the empirical
         # excited fraction among them (NaN once no survivors remain).
-        excited = np.array([_was_excited(r) for r in records])
-        n_excited = int(excited.sum())
+        # Emitters were necessarily excited.
+        n_excited = int(weights.sum())
         survivors = cfg.n_atoms - blackened
         with np.errstate(invalid="ignore"):
             survivor_excited = np.where(
                 survivors > 0, (n_excited - blackened) / survivors, np.nan
             )
     else:
-        # All survivors share one conditioned state; check that before
-        # reporting its analytic excited population.
-        shared = survivor_state(cfg.horizon, cfg.initial, cfg.params)
-        for r in records:
-            if not r.blackened:
-                assert fidelity(r.final_state, shared) > 1.0 - 1e-9
+        # All survivors share one conditioned state, survivor_state(t).
         survivor_excited = np.array(
-            [conditional_excited_prob(p1, gamma, t) for t in grid]
+            [conditional_excited_prob(weights, cfg.params.gamma, t) for t in grid]
         )
 
     measured = None
     if cfg.measure_survivors:
-        measured = _measure_survivors(cfg, records, jump_times, grid)
+        measured = _measure_survivors(cfg, weights, jump_times, grid)
 
     return EnsembleStats(
         grid=grid,
@@ -171,36 +142,36 @@ def run_ensemble(cfg: EnsembleConfig, threads: int | None = None) -> EnsembleSta
 def trajectory_state_series(
     initial: QubitState,
     params: AtomParams,
-    jump_times: list[float | None],
+    jump_times: np.ndarray,
     times: np.ndarray,
 ) -> list[list[QubitState]]:
     """Per-trajectory states on a grid, for density-matrix averaging.
 
     Until its jump a trajectory rides the shared conditioned state; from
     the grid point at or after the jump onwards it sits in the ground
-    state.
+    state.  ``times`` is ascending; a jump time of ``inf`` means no jump.
     """
     conditioned = [no_jump_evolve(initial, params, float(t)) for t in times]
-    series: list[list[QubitState]] = []
-    for jt in jump_times:
-        if jt is None:
-            series.append(conditioned)
-        else:
-            series.append(
-                [GROUND if t >= jt else conditioned[k] for k, t in enumerate(times)]
-            )
-    return series
+    first_ground = np.searchsorted(times, jump_times, side="left").tolist()
+    n = len(times)
+    return [
+        conditioned if k == n else conditioned[:k] + [GROUND] * (n - k)
+        for k in first_ground
+    ]
 
 
-def _was_excited(record: TrajectoryRecord) -> bool:
-    # Premeasured atoms are exactly ground or excited; emitters were
-    # necessarily excited.
-    return record.blackened or record.final_state.excited_population > 0.5
+def _excited_weights(cfg: EnsembleConfig) -> float | np.ndarray:
+    """Excited probability at t = 0: shared, or per atom (0/1) if premeasured."""
+    p1 = cfg.initial.excited_population
+    if not cfg.premeasure:
+        return p1
+    u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE)
+    return (u < p1).astype(float)
 
 
 def _measure_survivors(
     cfg: EnsembleConfig,
-    records: list[TrajectoryRecord],
+    weights: float | np.ndarray,
     jump_times: np.ndarray,
     grid: np.ndarray,
 ) -> np.ndarray:
@@ -210,10 +181,7 @@ def _measure_survivors(
     diagnostic binomial estimate around the survivor excited population,
     not a back-acting measurement sequence.
     """
-    p1 = cfg.initial.excited_population
     indices = np.arange(cfg.n_atoms)
-    if cfg.premeasure:
-        prob_excited = np.array([_was_excited(r) for r in records], dtype=float)
     out = np.empty(len(grid))
     for g, t in enumerate(grid):
         alive = jump_times > t
@@ -223,26 +191,8 @@ def _measure_survivors(
             continue
         u = uniforms_at(cfg.base_seed, indices[alive], SLOT_MEASURE_BASE + g)
         if cfg.premeasure:
-            hits = int((u < prob_excited[alive]).sum())
+            hits = int((u < weights[alive]).sum())
         else:
-            hits = int((u < conditional_excited_prob(p1, cfg.params.gamma, float(t))).sum())
+            hits = int((u < conditional_excited_prob(weights, cfg.params.gamma, float(t))).sum())
         out[g] = hits / n_alive
     return out
-
-
-def _resolve_workers(threads: int | None) -> int:
-    requested = threads if threads is not None else min(4, os.cpu_count() or 1)
-    if requested < 1:
-        raise ConfigurationError(f"thread count must be >= 1, got {requested}")
-    cap = os.environ.get("NULLSHADOW_THREADS")
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"NULLSHADOW_THREADS must be an integer, got {cap!r}"
-            ) from exc
-        if cap_value < 1:
-            raise ConfigurationError(f"NULLSHADOW_THREADS must be >= 1, got {cap_value}")
-        requested = min(requested, cap_value)
-    return requested

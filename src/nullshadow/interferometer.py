@@ -69,6 +69,9 @@ class EVConfig:
         ):
             if not 0.0 <= t <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {t}")
+        for name, phase in (("phase_a", self.phase_a), ("phase_b", self.phase_b)):
+            if not math.isfinite(phase):
+                raise ConfigurationError(f"{name} must be finite, got {phase}")
         if self.blocker not in (None, "a", "b"):
             raise ConfigurationError(f"blocker must be None, 'a' or 'b', got {self.blocker!r}")
 

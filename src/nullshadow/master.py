@@ -16,6 +16,7 @@ simple and bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,14 +34,21 @@ class MasterRunConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.t_max < self.dt:
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ConfigurationError(
-                f"t_max must be at least one step, got t_max={self.t_max}, dt={self.dt}"
+                f"t_max must be finite and at least one step, got t_max={self.t_max}, dt={self.dt}"
             )
+        if not math.isfinite(self.t_max / self.dt):
+            raise ConfigurationError(f"step count t_max/dt overflows: t_max={self.t_max}, dt={self.dt}")
         if self.record_every < 1:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of fixed steps, t_max / dt rounded to the nearest integer."""
+        return int(round(self.t_max / self.dt))
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ def integrate_master(
             f"dt={cfg.dt} exceeds stability bound {bound:.3g} for gamma={params.gamma}, "
             f"omega={params.omega}"
         )
-    n_steps = int(round(cfg.t_max / cfg.dt))
+    n_steps = cfg.n_steps
     times = [0.0]
     matrices = [rho0]
     rho = rho0
@@ -142,15 +150,17 @@ def average_trajectories(records: Sequence[Sequence[QubitState]]) -> list[Densit
 def max_elementwise_deviation(
     a: Sequence[DensityMatrix2], b: Sequence[DensityMatrix2]
 ) -> float:
-    """Largest entry-wise distance between two density-matrix series."""
+    """Largest entry-wise distance between two density-matrix series.
+
+    NaN if any entry is NaN, so a tolerance check on the result fails.
+    """
     if len(a) != len(b):
         raise ValueError(f"series lengths differ: {len(a)} vs {len(b)}")
-    worst = 0.0
-    for ma, mb in zip(a, b):
-        worst = max(
-            worst,
-            abs(ma.rho00 - mb.rho00),
-            abs(ma.rho11 - mb.rho11),
-            abs(ma.rho01 - mb.rho01),
-        )
-    return worst
+    distances = [
+        abs(d)
+        for ma, mb in zip(a, b)
+        for d in (ma.rho00 - mb.rho00, ma.rho11 - mb.rho11, ma.rho01 - mb.rho01)
+    ]
+    if any(math.isnan(d) for d in distances):
+        return math.nan
+    return max(distances, default=0.0)

@@ -1,9 +1,12 @@
+import contextlib
 import json
 import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nullshadow.cli import main
 from nullshadow.interferometer import EVConfig, Outcome, sample_photon
@@ -15,6 +18,41 @@ LN2 = math.log(2.0)
 
 def run_cli(args):
     return main(args)
+
+
+DECAY = ["decay-ensemble", "--n-atoms", "20", "--p-excited", "0.5", "--horizon", "2"]
+COND = ["conditional-state", "--p-excited", "0.5", "--horizon", "2"]
+MASTER = ["master-check", "--p-excited", "0.5", "--n-traj", "20", "--horizon", "1", "--dt", "0.01"]
+
+# Each input is rejected with exit code 2 and a one-line error; the
+# non-finite ones used to pass silently, print a traceback, or exit 0.
+INVALID_ARGVS = [
+    ["decay-ensemble", "--n-atoms", "0", "--p-excited", "0.5", "--horizon", "2"],
+    DECAY + ["--horizon=nan"],
+    DECAY + ["--horizon=inf"],
+    DECAY + ["--gamma=nan"],
+    DECAY + ["--gamma=inf"],
+    DECAY + ["--e0=nan"],
+    DECAY + ["--e1=inf"],
+    ["decay-ensemble", "--n-atoms", "20", "--a0-re=nan", "--horizon", "2"],
+    COND + ["--horizon=nan"],
+    COND + ["--horizon=inf"],
+    COND + ["--gamma=nan"],
+    ["ev", "--phase-a=nan"],
+    ["ev", "--phase-b=inf"],
+    ["ev", "--seed=-1"],
+    ["ev", "--seed", str(2**64)],
+    MASTER + ["--gamma=nan"],
+    MASTER + ["--gamma=inf"],
+    MASTER + ["--e1=nan"],
+    MASTER + ["--dt=nan"],
+    MASTER + ["--dt=0"],
+    MASTER + ["--dt=5e-324"],
+    MASTER + ["--horizon=inf"],
+    MASTER + ["--tol=nan"],
+    MASTER + ["--tol=inf"],
+    MASTER + ["--tol=-1"],
+]
 
 
 class TestDecayEnsemble:
@@ -140,10 +178,9 @@ class TestDecayEnsemble:
         assert "error" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, capsys):
-        code = run_cli(
-            ["decay-ensemble", "--n-atoms", "0", "--p-excited", "0.5", "--horizon", "2"]
-        )
-        assert code == 2
+        for argv in INVALID_ARGVS:
+            assert run_cli(argv) == 2, argv
+            assert "error" in capsys.readouterr().err, argv
 
 
 class TestConditionalState:
@@ -335,3 +372,104 @@ def test_csv_and_json_tables_carry_identical_values(tmp_path):
     _, csv_rows = read_csv_table(str(cpath))
     json_rows = json.loads(jpath.read_text())["rows"]
     assert csv_rows == json_rows
+
+
+# Every float flag takes any float, NaN and infinities included, a
+# quarter of the time and a value in its valid range otherwise, so that
+# valid runs occur too; counts stay small so a run is cheap.
+def floats(low, high):
+    in_range = st.floats(min_value=low, max_value=high)
+    return st.integers(0, 3).flatmap(lambda k: st.floats() if k == 0 else in_range)
+
+
+PROB = floats(0.0, 1.0)
+SEED = st.integers(min_value=-1, max_value=2**64)
+ATOM = [("gamma", floats(0.0, 4.0)), ("e0", floats(-2.0, 0.0)), ("e1", floats(0.0, 4.0))]
+GRID = ("grid", st.integers(0, 6))
+
+
+def _flags(draw, optional, required=()):
+    argv = []
+    for name, strategy in list(required) + [
+        item for item in optional if draw(st.booleans())
+    ]:
+        argv.append(f"--{name}={draw(strategy)}")
+    return argv
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["decay-ensemble", "conditional-state", "ev", "master-check"]))
+    if command == "decay-ensemble":
+        state = (
+            [("p-excited", PROB)]
+            if draw(st.booleans())
+            else [(f"a{level}-{part}", floats(-2.0, 2.0)) for level in "01" for part in ("re", "im")]
+        )
+        argv = _flags(
+            draw,
+            state + ATOM + [GRID, ("seed", SEED)],
+            [("n-atoms", st.integers(-1, 40)), ("horizon", floats(0.0, 4.0))],
+        )
+        if draw(st.booleans()):
+            argv.append("--premeasure")
+    elif command == "conditional-state":
+        argv = _flags(
+            draw,
+            [ATOM[0], GRID],
+            [("p-excited", PROB), ("horizon", floats(0.0, 4.0))],
+        )
+    elif command == "ev":
+        phase = floats(-4.0, 4.0)
+        argv = _flags(
+            draw,
+            [("blocker", st.sampled_from(["none", "a", "b"])), ("t1", PROB), ("t2", PROB),
+             ("phase-a", phase), ("phase-b", phase), ("shots", st.integers(-1, 40)),
+             ("seed", SEED)],
+        )
+    else:
+        horizon = draw(floats(0.0, 4.0))
+        # A step count t/dt in the millions is valid but slow: draw dt
+        # either freely or as horizon / steps, and skip the slow draws.
+        dt = draw(st.one_of(st.floats(), st.integers(1, 300).map(lambda n: horizon / n)))
+        with contextlib.suppress(ZeroDivisionError):
+            assume(not 1000 < horizon / dt < math.inf)
+        argv = [f"--horizon={horizon}", f"--dt={dt}"] + _flags(
+            draw,
+            ATOM + [GRID, ("seed", SEED), ("tol", floats(0.0, 1.0))],
+            [("p-excited", PROB), ("n-traj", st.integers(-1, 20))],
+        )
+    return [command, *argv, "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@pytest.fixture(scope="module")
+def property_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "record"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+@example(argv=[*DECAY, "--horizon=nan", "--format", "json"])
+@example(argv=[*MASTER, "--gamma=nan", "--format", "csv"])
+def test_any_argv_exits_cleanly_and_never_passes_on_non_finite(property_out, argv):
+    property_out.unlink(missing_ok=True)
+    try:
+        code = run_cli(argv + ["--out", str(property_out)])
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2
+        return
+    assert code in (0, 2, 3)
+    if argv[0] != "master-check" or code == 2:
+        return
+    if argv[-1] == "json":
+        record = json.loads(property_out.read_text())
+        cells = [cell for row in record["rows"] for cell in row]
+        assert record["summary"]["passed"] is (code == 0)
+        if code == 0:
+            deviation = record["summary"]["max_deviation"]
+            assert deviation is not None and math.isfinite(deviation)
+    else:
+        cells = [cell for row in read_csv_table(str(property_out))[1] for cell in row]
+    if code == 0:
+        assert all(cell is not None and math.isfinite(cell) for cell in cells)
+

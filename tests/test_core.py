@@ -159,6 +159,15 @@ class TestAtomParams:
         with pytest.raises(ConfigurationError):
             AtomParams(e0=0.0, e1=1.0, gamma=-0.1)
 
+    @pytest.mark.parametrize(
+        "e0, e1, gamma",
+        [(math.nan, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, math.inf, 1.0),
+         (-math.inf, 1.0, 1.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)],
+    )
+    def test_non_finite_values_rejected(self, e0, e1, gamma):
+        with pytest.raises(ConfigurationError):
+            AtomParams(e0=e0, e1=e1, gamma=gamma)
+
     def test_degenerate_gap_allowed(self):
         assert AtomParams(0.0, 0.0, 1.0).omega == 0.0
 

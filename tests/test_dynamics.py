@@ -18,9 +18,9 @@ from nullshadow.dynamics import (
     jump_hazard,
     no_jump_evolve,
     no_jump_survival,
-    run_trajectory,
-    sample_jump_time,
+    sample_jump_times,
 )
+from nullshadow.ensemble import EnsembleConfig
 from nullshadow.master import MasterRunConfig, integrate_master
 from nullshadow.streams import uniforms_at
 
@@ -144,35 +144,41 @@ class TestNoJumpSurvival:
 
 class TestSampleJumpTime:
     def test_ground_never_jumps(self):
-        for u in (0.0, 0.3, 0.999):
-            assert sample_jump_time(GROUND, PARAMS, u) is None
+        times = sample_jump_times(GROUND.excited_population, PARAMS.gamma, [0.0, 0.3, 0.999])
+        assert np.all(times == np.inf)
 
     def test_excited_unit_quantile(self):
-        t = sample_jump_time(EXCITED, PARAMS, 1.0 - math.exp(-1.0))
+        (t,) = sample_jump_times(1.0, PARAMS.gamma, [1.0 - math.exp(-1.0)])
         assert t == pytest.approx(1.0, abs=1e-12)
 
     def test_never_jump_branch(self):
-        assert sample_jump_time(HALF, PARAMS, 0.75) is None
+        assert sample_jump_times(0.5, PARAMS.gamma, [0.75])[0] == np.inf
 
     def test_gamma_zero_always_none(self):
-        params = AtomParams(e0=0.0, e1=1.0, gamma=0.0)
-        assert sample_jump_time(EXCITED, params, 0.1) is None
+        # no decay channel: the jump time is inf ("never")
+        assert sample_jump_times(1.0, 0.0, [0.1])[0] == np.inf
 
     def test_u_domain(self):
         with pytest.raises(ValueError):
-            sample_jump_time(HALF, PARAMS, 1.0)
+            sample_jump_times(0.5, PARAMS.gamma, [1.0])
+        with pytest.raises(ValueError):
+            sample_jump_times(0.5, PARAMS.gamma, [0.2, math.nan])
+
+    def test_per_atom_weights(self):
+        # premeasured atoms: weight 1 jumps as excited, weight 0 never
+        times = sample_jump_times(np.array([1.0, 0.0, 1.0]), 2.0, [0.5, 0.5, 0.0])
+        assert times[0] == pytest.approx(LN2 / 2.0, abs=1e-15)
+        assert times[1] == np.inf and times[2] == 0.0
 
     @pytest.mark.parametrize("p1", [1.0, 0.5])
     def test_ugrid_supnorm_matches_survival_law(self, p1):
         # empirical sub-CDF from a 1e6-point equispaced u-grid vs the
         # closed-form jump-time law 1 - S(t)
         n = 1_000_000
-        state = QubitState.from_excited_probability(p1)
         gamma = PARAMS.gamma
         us = (np.arange(n) + 0.5) / n
-        times = [sample_jump_time(state, PARAMS, float(u)) for u in us]
-        jumps = np.array([t for t in times if t is not None])
-        jumps.sort()
+        times = sample_jump_times(p1, gamma, us)
+        jumps = np.sort(times[np.isfinite(times)])
         m = len(jumps)
         cdf = p1 * -np.expm1(-gamma * jumps)
         ranks = np.arange(1, m + 1) / n
@@ -185,52 +191,63 @@ class TestSampleJumpTime:
         # Smirnov distance to the exponential law
         n = 1_000_000
         us = uniforms_at(2024, np.arange(n), 0)
-        times = np.array([sample_jump_time(EXCITED, PARAMS, float(u)) for u in us])
-        times.sort()
+        times = np.sort(sample_jump_times(1.0, PARAMS.gamma, us))
         cdf = -np.expm1(-PARAMS.gamma * times)
         ranks = np.arange(1, n + 1) / n
         ks = float(np.max(np.maximum(np.abs(ranks - cdf), np.abs(ranks - 1.0 / n - cdf))))
         assert ks < 0.002
 
+    def test_matches_scalar_inverse_survival(self):
+        # the array kernel against the closed form evaluated with libm,
+        # up to the last-place difference between numpy and math log1p
+        us = uniforms_at(5, np.arange(2000), 1)
+        times = sample_jump_times(0.5, 1.3, us)
+        for u, t in zip(us.tolist(), times.tolist()):
+            if u >= 0.5:
+                assert t == math.inf
+            else:
+                assert t == pytest.approx(-math.log1p(-u / 0.5) / 1.3, rel=1e-15, abs=0.0)
+
 
 class TestRunTrajectory:
+    """One atom's fate over a horizon: it blackens iff its jump time is <= horizon."""
+
     def test_ground_atom_never_blackens(self):
-        for u in (0.0, 0.5, 0.99):
-            rec = run_trajectory(GROUND, PARAMS, 10.0, u)
-            assert not rec.blackened
-            assert rec.jump_time is None
-            assert fidelity(rec.final_state, GROUND) == pytest.approx(1.0, abs=1e-12)
+        times = sample_jump_times(GROUND.excited_population, PARAMS.gamma, [0.0, 0.5, 0.99])
+        assert np.all(times > 10.0)
+        survivor = no_jump_evolve(GROUND, PARAMS, 10.0)
+        assert fidelity(survivor, GROUND) == pytest.approx(1.0, abs=1e-12)
 
     def test_excited_median_jump(self):
-        rec = run_trajectory(EXCITED, PARAMS, 100.0, 0.5)
-        assert rec.blackened
-        assert rec.jump_time == pytest.approx(LN2, abs=1e-12)
-        assert fidelity(rec.final_state, GROUND) == 1.0
+        (t,) = sample_jump_times(1.0, PARAMS.gamma, [0.5])
+        assert t <= 100.0
+        assert t == pytest.approx(LN2, abs=1e-12)
 
     def test_jump_beyond_horizon_is_survival(self):
-        # u just below p1 gives a huge jump time; the record must be a
-        # conditioned survivor instead
-        rec = run_trajectory(HALF, PARAMS, 2.0, 0.499999999)
-        assert not rec.blackened
-        expected = no_jump_evolve(HALF, PARAMS, 2.0)
-        assert fidelity(rec.final_state, expected) == pytest.approx(1.0, abs=1e-12)
+        # u just below p1 gives a huge jump time; the atom is a
+        # conditioned survivor at the horizon instead
+        (t,) = sample_jump_times(HALF.excited_population, PARAMS.gamma, [0.499999999])
+        assert math.isfinite(t) and t > 2.0
 
     def test_half_superposition_blackens_exactly_half_of_u_space(self):
         # horizon far beyond 1/gamma: the outcome flips exactly at u=p1
         n = 10_000
-        blacks = sum(
-            run_trajectory(HALF, PARAMS, 200.0, (k + 0.5) / n).blackened for k in range(n)
-        )
+        us = (np.arange(n) + 0.5) / n
+        blacks = int(np.count_nonzero(sample_jump_times(HALF.excited_population, 1.0, us) <= 200.0))
         assert blacks == n // 2
 
     def test_total_probability_partition(self):
         n = 1000
-        recs = [run_trajectory(HALF, PARAMS, 1.5, (k + 0.5) / n) for k in range(n)]
-        assert sum(r.blackened for r in recs) + sum(not r.blackened for r in recs) == n
+        times = sample_jump_times(HALF.excited_population, 1.0, (np.arange(n) + 0.5) / n)
+        assert np.count_nonzero(times <= 1.5) + np.count_nonzero(times > 1.5) == n
 
     def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            run_trajectory(HALF, PARAMS, 0.0, 0.5)
+        for horizon in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                EnsembleConfig(
+                    n_atoms=1, initial=HALF, params=PARAMS, horizon=horizon,
+                    grid_points=2, base_seed=0,
+                )
 
 
 class TestConditionalExcitedProb:

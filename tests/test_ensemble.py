@@ -11,9 +11,10 @@ from nullshadow.core import (
     QubitState,
     fidelity,
 )
-from nullshadow.dynamics import conditional_excited_prob, no_jump_evolve, run_trajectory
+from nullshadow.dynamics import conditional_excited_prob, no_jump_evolve, sample_jump_times
 from nullshadow.ensemble import (
     SLOT_JUMP,
+    SLOT_PREMEASURE,
     EnsembleConfig,
     expected_blackened,
     run_ensemble,
@@ -21,7 +22,7 @@ from nullshadow.ensemble import (
     survivor_state,
     trajectory_state_series,
 )
-from nullshadow.streams import uniform_at
+from nullshadow.streams import uniform_at, uniforms_at
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
@@ -80,32 +81,16 @@ class TestSurvivorState:
 
 class TestRunTrajectories:
     def test_matches_single_trajectory_contract(self):
-        # atom i must be exactly run_trajectory fed from its substream
+        # atom i must be exactly the sampler fed from its substream,
+        # with jumps past the horizon reported as inf
         cfg = make_cfg(n_atoms=50)
-        records = run_trajectories(cfg)
+        times = run_trajectories(cfg)
+        assert times.shape == (50,)
         for i in (0, 7, 49):
             u = uniform_at(cfg.base_seed, i, SLOT_JUMP)
-            expected = run_trajectory(cfg.initial, cfg.params, cfg.horizon, u)
-            assert records[i].jump_time == expected.jump_time
-            assert records[i].blackened == expected.blackened
-
-    def test_thread_count_does_not_change_records(self):
-        cfg = make_cfg(n_atoms=20_000)
-        seq = run_trajectories(cfg, threads=1)
-        par = run_trajectories(cfg, threads=4)
-        assert [r.jump_time for r in seq] == [r.jump_time for r in par]
-
-    def test_env_cap_validated(self, monkeypatch):
-        monkeypatch.setenv("NULLSHADOW_THREADS", "not-a-number")
-        with pytest.raises(ConfigurationError):
-            run_trajectories(make_cfg(n_atoms=10))
-
-    def test_env_cap_applies_without_changing_results(self, monkeypatch):
-        cfg = make_cfg(n_atoms=5000)
-        baseline = [r.jump_time for r in run_trajectories(cfg, threads=4)]
-        monkeypatch.setenv("NULLSHADOW_THREADS", "1")
-        capped = [r.jump_time for r in run_trajectories(cfg, threads=4)]
-        assert baseline == capped
+            (expected,) = sample_jump_times(0.5, cfg.params.gamma, [u])
+            assert times[i] == (expected if expected <= cfg.horizon else np.inf)
+        assert np.all((times <= cfg.horizon) | (times == np.inf))
 
 
 class TestRunEnsemble:
@@ -129,10 +114,12 @@ class TestRunEnsemble:
         expected = [conditional_excited_prob(0.5, 1.0, float(t)) for t in stats.grid]
         assert np.allclose(stats.survivor_excited_prob, expected, atol=1e-12)
 
-    def test_deterministic_across_threads_and_seeds(self):
+    def test_deterministic_across_threads_and_seeds(self, monkeypatch):
+        # NULLSHADOW_THREADS is not read: even a malformed value changes nothing
         cfg = make_cfg(n_atoms=10_000)
-        a = run_ensemble(cfg, threads=1)
-        b = run_ensemble(cfg, threads=4)
+        a = run_ensemble(cfg)
+        monkeypatch.setenv("NULLSHADOW_THREADS", "not-a-number")
+        b = run_ensemble(cfg)
         assert np.array_equal(a.blackened_count, b.blackened_count)
         assert np.array_equal(a.survivor_excited_prob, b.survivor_excited_prob)
         assert a.fraction_blackened_final == b.fraction_blackened_final
@@ -172,17 +159,24 @@ class TestPremeasure:
 
     def test_survivor_states_are_a_classical_mixture(self):
         cfg = make_cfg(n_atoms=4000, horizon=1.0, premeasure=True)
-        records = run_trajectories(cfg)
-        survivors = [r.final_state for r in records if not r.blackened]
-        pops = {round(s.excited_population, 12) for s in survivors}
-        assert pops == {0.0, 1.0}
-        # contrast: unmeasured survivors all share one conditioned
-        # superposition instead
-        records = run_trajectories(make_cfg(n_atoms=4000, horizon=1.0))
-        shared = no_jump_evolve(HALF, PARAMS, 1.0)
-        for r in records:
-            if not r.blackened:
-                assert fidelity(r.final_state, shared) > 1.0 - 1e-9
+        times = run_trajectories(cfg)
+        excited = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < 0.5
+        survived = times == np.inf
+        # survivors include both premeasured levels; every emitter was excited
+        assert set(excited[survived].tolist()) == {False, True}
+        assert np.all(excited[~survived])
+        # the survivors' excited fraction is the reported curve's last value
+        stats = run_ensemble(cfg)
+        assert stats.survivor_excited_prob[-1] == excited[survived].mean()
+
+    def test_unmeasured_survivors_share_the_survivor_state(self):
+        # every silent atom rides the one conditioned state, whose excited
+        # population is the reported survivor curve
+        cfg = make_cfg(n_atoms=4000, horizon=1.0)
+        stats = run_ensemble(cfg)
+        for t, reported in zip(stats.grid, stats.survivor_excited_prob):
+            shared = survivor_state(float(t), HALF, PARAMS)
+            assert shared.excited_population == pytest.approx(reported, abs=1e-12)
 
     def test_empirical_survivor_curve_tracks_conditional_formula(self):
         cfg = make_cfg(n_atoms=100_000, horizon=2.0, grid_points=5, premeasure=True)
@@ -231,7 +225,7 @@ class TestMeasureSurvivors:
 class TestTrajectoryStateSeries:
     def test_ground_after_jump_conditioned_before(self):
         times = np.array([0.0, 1.0, 2.0, 3.0])
-        series = trajectory_state_series(HALF, PARAMS, [1.5, None], times)
+        series = trajectory_state_series(HALF, PARAMS, np.array([1.5, np.inf]), times)
         jumped, never = series
         for k, t in enumerate(times):
             cond = no_jump_evolve(HALF, PARAMS, float(t))
@@ -243,7 +237,7 @@ class TestTrajectoryStateSeries:
 
     def test_jump_on_grid_point_counts_as_jumped(self):
         times = np.array([0.0, 2.0])
-        (series,) = trajectory_state_series(HALF, PARAMS, [2.0], times)
+        (series,) = trajectory_state_series(HALF, PARAMS, np.array([2.0]), times)
         assert fidelity(series[1], GROUND) == 1.0
 
 
@@ -253,6 +247,9 @@ class TestConfigValidation:
             make_cfg(n_atoms=0)
         with pytest.raises(ConfigurationError):
             make_cfg(horizon=0.0)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                make_cfg(horizon=horizon)
         with pytest.raises(ConfigurationError):
             make_cfg(grid_points=1)
         with pytest.raises(ConfigurationError):
@@ -263,3 +260,5 @@ class TestConfigValidation:
     def test_unnormalized_initial_rejected(self):
         with pytest.raises(ConfigurationError):
             make_cfg(initial=QubitState(1.0, 1.0))
+        with pytest.raises(ConfigurationError):
+            make_cfg(initial=QubitState(complex(math.nan), 0.0))

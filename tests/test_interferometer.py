@@ -228,3 +228,8 @@ def test_evconfig_validation():
         EVConfig(splitter2_transmissivity=1.0001)
     with pytest.raises(ConfigurationError):
         EVConfig(blocker="x")
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            EVConfig(phase_a=phase)
+        with pytest.raises(ConfigurationError):
+            EVConfig(phase_b=phase)

@@ -115,6 +115,10 @@ class TestIntegrateMaster:
             MasterRunConfig(dt=0.1, t_max=0.05)
         with pytest.raises(ConfigurationError):
             MasterRunConfig(dt=0.01, t_max=1.0, record_every=0)
+        for dt, t_max in ((math.nan, 1.0), (math.inf, 1.0), (0.01, math.nan), (0.01, math.inf),
+                          (5e-324, 1.0)):
+            with pytest.raises(ConfigurationError):
+                MasterRunConfig(dt=dt, t_max=t_max)
 
 
 class TestAverageTrajectories:
@@ -141,7 +145,7 @@ class TestAverageTrajectories:
         cfg = EnsembleConfig(
             n_atoms=500, initial=HALF, params=PARAMS, horizon=4.0, grid_points=2, base_seed=9
         )
-        jump_times = [r.jump_time for r in run_trajectories(cfg)]
+        jump_times = run_trajectories(cfg)
         times = np.linspace(0.0, 4.0, 9)
         avg = average_trajectories(trajectory_state_series(HALF, PARAMS, jump_times, times))
         for m in avg:
@@ -152,7 +156,7 @@ class TestAverageTrajectories:
         cfg = EnsembleConfig(
             n_atoms=10_000, initial=HALF, params=params, horizon=5.0, grid_points=2, base_seed=42
         )
-        jump_times = [r.jump_time for r in run_trajectories(cfg)]
+        jump_times = run_trajectories(cfg)
         mcfg = MasterRunConfig(dt=5 / 490, t_max=5.0, record_every=10)
         series = integrate_master(density_from_state(HALF), params, mcfg)
         avg = average_trajectories(
@@ -177,12 +181,22 @@ def test_coherence_flow_matches_trajectory_finite_difference():
     cfg = EnsembleConfig(
         n_atoms=50_000, initial=HALF, params=PARAMS, horizon=10.0, grid_points=2, base_seed=7
     )
-    jump_times = [r.jump_time for r in run_trajectories(cfg)]
+    jump_times = run_trajectories(cfg)
     times = np.array([t0 - h, t0, t0 + h])
     avg = average_trajectories(trajectory_state_series(HALF, PARAMS, jump_times, times))
     fd = (avg[2].rho01 - avg[0].rho01) / (2 * h)
     expected = lindblad_rhs(avg[1], PARAMS).rho01
     assert abs(fd - expected) < 0.03
+
+
+def test_max_elementwise_deviation_is_nan_when_any_entry_is_nan():
+    good = DensityMatrix2(1.0, 0.0, 0.0j)
+    bad = DensityMatrix2(1.0, math.nan, 0.0j)
+    far = DensityMatrix2(0.0, 1.0, 0.0j)
+    # the NaN must win wherever it sits, also next to a larger finite distance
+    assert math.isnan(max_elementwise_deviation([bad, good], [good, far]))
+    assert math.isnan(max_elementwise_deviation([good, bad], [far, good]))
+    assert max_elementwise_deviation([good, far], [good, good]) == 1.0
 
 
 def test_max_elementwise_deviation_requires_equal_lengths():
