@@ -319,31 +319,20 @@ def cmd_master_check(args: argparse.Namespace) -> int:
         record_every=max(1, n_steps // (args.grid - 1)),
     )
     series = integrate_master(density_from_state(initial), params, mcfg)
-    averaged = average_trajectories(
-        trajectory_state_series(initial, params, jump_times, series.times)
-    )
-    deviation = max_elementwise_deviation(averaged, series.matrices)
+    averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
+    deviation = max_elementwise_deviation(averaged, series)
 
     analytic = args.p_excited * np.exp(-args.gamma * series.times)
     population_error = float(np.max(np.abs(series.rho11 - analytic)))
 
-    rows = []
-    for k, t in enumerate(series.times):
-        m, a = series.matrices[k], averaged[k]
-        rows.append(
-            [
-                float(t),
-                m.rho00,
-                m.rho11,
-                m.rho01.real,
-                m.rho01.imag,
-                a.rho00,
-                a.rho11,
-                a.rho01.real,
-                a.rho01.imag,
-                float(analytic[k]),
-            ]
-        )
+    rows = np.column_stack(
+        [
+            series.times,
+            series.rho00, series.rho11, series.rho01.real, series.rho01.imag,
+            averaged.rho00, averaged.rho11, averaged.rho01.real, averaged.rho01.imag,
+            analytic,
+        ]
+    ).tolist()
     record = OutputRecord(
         scenario="master-check",
         seed=args.seed,

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GROUND, AtomParams, ConfigurationError, QubitState
+from .core import AtomParams, ConfigurationError, QubitState
 from .dynamics import conditional_excited_prob, no_jump_evolve, sample_jump_times
+from .master import DensitySeries
 from .streams import uniforms_at
 
 # Fixed draw-slot layout of each atom's substream.
@@ -90,26 +91,29 @@ def survivor_state(t: float, initial: QubitState, params: AtomParams) -> QubitSt
     return no_jump_evolve(initial, params, t)
 
 
-def run_trajectories(cfg: EnsembleConfig) -> np.ndarray:
+def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = None) -> np.ndarray:
     """Jump time of every atom, indexed by atom; ``inf`` past the horizon.
 
     Atom i uses draw slot SLOT_PREMEASURE for the optional initial
     collapse and SLOT_JUMP for its emission time, so the premeasure
-    variant reuses the very same jump variates.
+    variant reuses the very same jump variates.  ``weights`` are the
+    excited probabilities at t = 0 when the caller has drawn them already.
     """
+    if weights is None:
+        weights = _excited_weights(cfg)
     u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_JUMP)
-    times = sample_jump_times(_excited_weights(cfg), cfg.params.gamma, u)
+    times = sample_jump_times(weights, cfg.params.gamma, u)
     times[times > cfg.horizon] = np.inf
     return times
 
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
     """Simulate the full cell array and aggregate it on the time grid."""
-    jump_times = run_trajectories(cfg)
+    weights = _excited_weights(cfg)
+    jump_times = run_trajectories(cfg, weights)
     grid = np.linspace(0.0, cfg.horizon, cfg.grid_points)
     blackened = np.searchsorted(np.sort(jump_times), grid, side="right")
 
-    weights = _excited_weights(cfg)
     if cfg.premeasure:
         # Survivors are a ground/excited mixture; report the empirical
         # excited fraction among them (NaN once no survivors remain).
@@ -144,20 +148,19 @@ def trajectory_state_series(
     params: AtomParams,
     jump_times: np.ndarray,
     times: np.ndarray,
-) -> list[list[QubitState]]:
-    """Per-trajectory states on a grid, for density-matrix averaging.
+) -> tuple[np.ndarray, DensitySeries]:
+    """Where the trajectories stand on an ascending time grid, in O(T) numbers.
 
-    Until its jump a trajectory rides the shared conditioned state; from
-    the grid point at or after the jump onwards it sits in the ground
-    state.  ``times`` is ascending; a jump time of ``inf`` means no jump.
+    Returns the fraction of trajectories in the ground state at each time
+    (jump time <= t; ``inf`` means no jump) and the projector of the
+    conditioned state that every other trajectory shares.
     """
-    conditioned = [no_jump_evolve(initial, params, float(t)) for t in times]
-    first_ground = np.searchsorted(times, jump_times, side="left").tolist()
-    n = len(times)
-    return [
-        conditioned if k == n else conditioned[:k] + [GROUND] * (n - k)
-        for k in first_ground
-    ]
+    if len(jump_times) == 0:
+        raise ValueError("jump_times is empty: no trajectories to describe")
+    jumped = np.searchsorted(np.sort(jump_times), times, side="right") / len(jump_times)
+    states = [no_jump_evolve(initial, params, float(t)) for t in times]
+    a0, a1 = np.array([s.a0 for s in states]), np.array([s.a1 for s in states])
+    return jumped, DensitySeries(times, np.abs(a0) ** 2, np.abs(a1) ** 2, a0 * np.conj(a1))
 
 
 def _excited_weights(cfg: EnsembleConfig) -> float | np.ndarray:

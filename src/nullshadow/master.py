@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import AtomParams, ConfigurationError, DensityMatrix2, QubitState
+from .core import AtomParams, ConfigurationError, DensityMatrix2
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,12 @@ class MasterRunConfig:
 
 @dataclass(frozen=True)
 class DensitySeries:
-    """Density matrices on a time grid."""
+    """Density matrices on a time grid, one array per matrix entry."""
 
     times: np.ndarray
-    matrices: list[DensityMatrix2]
-
-    @property
-    def rho00(self) -> np.ndarray:
-        return np.array([m.rho00 for m in self.matrices])
-
-    @property
-    def rho11(self) -> np.ndarray:
-        return np.array([m.rho11 for m in self.matrices])
-
-    @property
-    def rho01(self) -> np.ndarray:
-        return np.array([m.rho01 for m in self.matrices])
+    rho00: np.ndarray
+    rho11: np.ndarray
+    rho01: np.ndarray
 
 
 def lindblad_rhs(rho: DensityMatrix2, params: AtomParams) -> DensityMatrix2:
@@ -121,46 +110,36 @@ def integrate_master(
         if k % cfg.record_every == 0 or k == n_steps:
             times.append(k * cfg.dt)
             matrices.append(rho)
-    return DensitySeries(times=np.array(times), matrices=matrices)
+    return DensitySeries(
+        times=np.array(times),
+        rho00=np.array([m.rho00 for m in matrices]),
+        rho11=np.array([m.rho11 for m in matrices]),
+        rho01=np.array([m.rho01 for m in matrices], dtype=complex),
+    )
 
 
-def average_trajectories(records: Sequence[Sequence[QubitState]]) -> list[DensityMatrix2]:
-    """Equal-weight mean of pure-state projectors across trajectories.
+def average_trajectories(jumped: np.ndarray, conditioned: DensitySeries) -> DensitySeries:
+    """Equal-weight mean of the trajectories' pure-state projectors.
 
-    Each record is one trajectory's state on the shared time grid (with
-    the ground state standing in after a jump).  The mean projector per
-    grid point is the empirical density matrix.
+    A fraction F = ``jumped`` of the trajectories sits in the ground state
+    and the rest share the ``conditioned`` projector |psi_c><psi_c|, so the
+    empirical density matrix is F |g><g| + (1 - F) |psi_c><psi_c|.
     """
-    if len(records) == 0:
-        raise ValueError("cannot average an empty trajectory list")
-    n_times = len(records[0])
-    if any(len(rec) != n_times for rec in records):
-        raise ValueError("trajectory records do not share a time grid")
-    a0 = np.array([[s.a0 for s in rec] for rec in records])
-    a1 = np.array([[s.a1 for s in rec] for rec in records])
-    rho00 = np.mean(np.abs(a0) ** 2, axis=0)
-    rho11 = np.mean(np.abs(a1) ** 2, axis=0)
-    rho01 = np.mean(a0 * np.conj(a1), axis=0)
-    return [
-        DensityMatrix2(float(rho00[k]), float(rho11[k]), complex(rho01[k]))
-        for k in range(n_times)
-    ]
+    alive = 1.0 - jumped
+    return DensitySeries(
+        times=conditioned.times,
+        rho00=jumped + alive * conditioned.rho00,
+        rho11=alive * conditioned.rho11,
+        rho01=alive * conditioned.rho01,
+    )
 
 
-def max_elementwise_deviation(
-    a: Sequence[DensityMatrix2], b: Sequence[DensityMatrix2]
-) -> float:
+def max_elementwise_deviation(a: DensitySeries, b: DensitySeries) -> float:
     """Largest entry-wise distance between two density-matrix series.
 
     NaN if any entry is NaN, so a tolerance check on the result fails.
     """
-    if len(a) != len(b):
-        raise ValueError(f"series lengths differ: {len(a)} vs {len(b)}")
-    distances = [
-        abs(d)
-        for ma, mb in zip(a, b)
-        for d in (ma.rho00 - mb.rho00, ma.rho11 - mb.rho11, ma.rho01 - mb.rho01)
-    ]
-    if any(math.isnan(d) for d in distances):
-        return math.nan
-    return max(distances, default=0.0)
+    if len(a.times) != len(b.times):
+        raise ValueError(f"series lengths differ: {len(a.times)} vs {len(b.times)}")
+    diff = np.stack([a.rho00 - b.rho00, a.rho11 - b.rho11, a.rho01 - b.rho01])
+    return float(np.max(np.abs(diff)))

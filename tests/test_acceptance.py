@@ -112,9 +112,9 @@ def test_unraveling_oracle_agreement():
     series = integrate_master(density_from_state(HALF), params, mcfg)
     assert len(series.times) == 50
     averaged = average_trajectories(
-        trajectory_state_series(HALF, params, jump_times, series.times)
+        *trajectory_state_series(HALF, params, jump_times, series.times)
     )
-    dev = max_elementwise_deviation(averaged, series.matrices)
+    dev = max_elementwise_deviation(averaged, series)
     report(
         "unraveling-oracle-agreement",
         dev <= 0.05,

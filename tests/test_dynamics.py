@@ -66,7 +66,7 @@ class TestNoJumpEvolve:
         rho0 = density_from_state(HALF)
         series = integrate_master(rho0, PARAMS, MasterRunConfig(dt=LN2 / 100, t_max=LN2))
         p_click_free = no_jump_survival(0.5, PARAMS.gamma, LN2)
-        conditioned = series.matrices[-1].rho11 / p_click_free
+        conditioned = series.rho11[-1] / p_click_free
         assert conditioned == pytest.approx(
             no_jump_evolve(HALF, PARAMS, LN2).excited_population, abs=1e-6
         )

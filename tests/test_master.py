@@ -6,7 +6,6 @@ import pytest
 
 from nullshadow.core import (
     EXCITED,
-    GROUND,
     AtomParams,
     ConfigurationError,
     DensityMatrix2,
@@ -14,8 +13,10 @@ from nullshadow.core import (
     density_from_state,
     free_evolve,
 )
+from nullshadow.dynamics import no_jump_evolve
 from nullshadow.ensemble import EnsembleConfig, run_trajectories, trajectory_state_series
 from nullshadow.master import (
+    DensitySeries,
     MasterRunConfig,
     average_trajectories,
     integrate_master,
@@ -26,6 +27,20 @@ from nullshadow.master import (
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
 LN2 = math.log(2.0)
+
+
+def series_of(*matrices):
+    """A DensitySeries holding the given matrices at times 0, 1, 2, ..."""
+    return DensitySeries(
+        times=np.arange(len(matrices), dtype=float),
+        rho00=np.array([m.rho00 for m in matrices]),
+        rho11=np.array([m.rho11 for m in matrices]),
+        rho01=np.array([m.rho01 for m in matrices], dtype=complex),
+    )
+
+
+def matrix_at(series, k):
+    return DensityMatrix2(series.rho00[k], series.rho11[k], series.rho01[k])
 
 
 class TestLindbladRhs:
@@ -56,7 +71,7 @@ class TestLindbladRhs:
         cfg = MasterRunConfig(dt=0.002, t_max=t, record_every=400)
         series = integrate_master(density_from_state(HALF), params, cfg)
         pure = density_from_state(free_evolve(HALF, params, t))
-        assert series.matrices[-1].rho01 == pytest.approx(pure.rho01, abs=1e-9)
+        assert series.rho01[-1] == pytest.approx(pure.rho01, abs=1e-9)
         expected = 0.5 * cmath.exp(1j * params.omega * t)
         assert pure.rho01 == pytest.approx(expected, abs=1e-12)
 
@@ -65,19 +80,19 @@ class TestIntegrateMaster:
     def test_pure_decay_exponential(self):
         cfg = MasterRunConfig(dt=0.001, t_max=1.0, record_every=100)
         series = integrate_master(DensityMatrix2(0.0, 1.0, 0.0j), PARAMS, cfg)
-        assert series.matrices[-1].rho11 == pytest.approx(math.exp(-1.0), abs=1e-6)
+        assert series.rho11[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_ground_state_unchanged(self):
         cfg = MasterRunConfig(dt=0.01, t_max=4.0, record_every=10)
         series = integrate_master(DensityMatrix2(1.0, 0.0, 0.0j), PARAMS, cfg)
-        last = series.matrices[-1]
+        last = matrix_at(series, -1)
         assert last.rho00 == 1.0 and last.rho11 == 0.0 and last.rho01 == 0.0
 
     def test_uniform_matrix_closed_form_at_ln2(self):
         params = AtomParams(e0=0.0, e1=0.0, gamma=1.0)
         cfg = MasterRunConfig(dt=LN2 / 200, t_max=LN2, record_every=200)
         series = integrate_master(DensityMatrix2(0.5, 0.5, 0.5 + 0.0j), params, cfg)
-        last = series.matrices[-1]
+        last = matrix_at(series, -1)
         assert last.rho11 == pytest.approx(0.25, abs=1e-9)
         assert abs(last.rho01) == pytest.approx(0.5 / math.sqrt(2), abs=1e-9)
 
@@ -85,21 +100,38 @@ class TestIntegrateMaster:
     def test_populations_closed_form(self, p1):
         cfg = MasterRunConfig(dt=0.005, t_max=3.0, record_every=60)
         series = integrate_master(DensityMatrix2(1.0 - p1, p1, 0.0j), PARAMS, cfg)
-        for t, m in zip(series.times, series.matrices):
-            assert m.rho11 == pytest.approx(p1 * math.exp(-t), abs=1e-6)
-            assert m.rho00 == pytest.approx(1.0 - p1 * math.exp(-t), abs=1e-6)
+        for t, rho00, rho11 in zip(series.times, series.rho00, series.rho11):
+            assert rho11 == pytest.approx(p1 * math.exp(-t), abs=1e-6)
+            assert rho00 == pytest.approx(1.0 - p1 * math.exp(-t), abs=1e-6)
+
+    def test_every_recorded_point_matches_exact_solution(self):
+        # rho11 = p e^(-gamma t), rho00 = 1 - rho11 and
+        # rho01 = rho01(0) e^((i omega - gamma / 2) t); the RK4 global
+        # error at this step is ~5e-12 and scales as dt^4
+        params = AtomParams(e0=0.4, e1=2.7, gamma=0.7)
+        rho0 = density_from_state(QubitState(0.6 + 0.0j, 0.48 + 0.64j))
+        cfg = MasterRunConfig(dt=0.002, t_max=6.0, record_every=125)
+        series = integrate_master(rho0, params, cfg)
+        t = series.times
+        assert len(t) == 25 and t[-1] == 6.0
+        rho11 = rho0.rho11 * np.exp(-params.gamma * t)
+        rho01 = rho0.rho01 * np.exp((1j * params.omega - 0.5 * params.gamma) * t)
+        assert np.max(np.abs(series.rho11 - rho11)) <= 1e-10
+        assert np.max(np.abs(series.rho00 - (1.0 - rho11))) <= 1e-10
+        assert np.max(np.abs(series.rho01 - rho01)) <= 1e-10
 
     def test_trace_preserved_and_states_valid(self):
         cfg = MasterRunConfig(dt=0.002, t_max=5.0, record_every=250)
         series = integrate_master(density_from_state(HALF), PARAMS, cfg)
-        for m in series.matrices:
+        for k in range(len(series.times)):
+            m = matrix_at(series, k)
             assert abs(m.trace - 1.0) < 1e-10
             m.validate(atol=1e-8)
 
     def test_series_arrays(self):
         cfg = MasterRunConfig(dt=0.01, t_max=0.1, record_every=1)
         series = integrate_master(density_from_state(HALF), PARAMS, cfg)
-        assert len(series.times) == len(series.matrices) == 11
+        assert len(series.times) == len(series.rho00) == len(series.rho01) == 11
         assert series.rho11.shape == (11,)
         assert series.rho01.dtype.kind == "c"
 
@@ -123,23 +155,23 @@ class TestIntegrateMaster:
 
 class TestAverageTrajectories:
     def test_single_trajectory_is_its_own_average(self):
-        states = [free_evolve(HALF, PARAMS, t) for t in (0.0, 0.5, 1.0)]
-        avg = average_trajectories([states])
-        for m, s in zip(avg, states):
-            expected = density_from_state(s)
-            assert m.rho00 == pytest.approx(expected.rho00, abs=1e-15)
-            assert m.rho01 == pytest.approx(expected.rho01, abs=1e-15)
+        times = np.array([0.0, 0.5, 1.0])
+        avg = average_trajectories(*trajectory_state_series(HALF, PARAMS, np.array([np.inf]), times))
+        for k, t in enumerate(times):
+            expected = density_from_state(no_jump_evolve(HALF, PARAMS, float(t)))
+            assert avg.rho00[k] == pytest.approx(expected.rho00, abs=1e-15)
+            assert avg.rho01[k] == pytest.approx(expected.rho01, abs=1e-15)
 
     def test_two_trajectory_hand_average(self):
         # one atom jumped at t=0 (always ground), one pure excited that
         # never jumps: the mean excited population is 1/2 at all times
         # because conditioning cancels the decay of a certainty
         times = np.linspace(0.0, 3.0, 7)
-        jumped = [GROUND] * len(times)
-        never = [free_evolve(EXCITED, PARAMS, float(t)) for t in times]
-        for m in average_trajectories([jumped, never]):
-            assert m.rho11 == pytest.approx(0.5, abs=1e-15)
-            assert m.rho01 == 0.0
+        avg = average_trajectories(
+            *trajectory_state_series(EXCITED, PARAMS, np.array([0.0, np.inf]), times)
+        )
+        assert avg.rho11 == pytest.approx(np.full(len(times), 0.5), abs=1e-15)
+        assert np.all(avg.rho01 == 0.0)
 
     def test_trace_one_up_to_rounding(self):
         cfg = EnsembleConfig(
@@ -147,9 +179,8 @@ class TestAverageTrajectories:
         )
         jump_times = run_trajectories(cfg)
         times = np.linspace(0.0, 4.0, 9)
-        avg = average_trajectories(trajectory_state_series(HALF, PARAMS, jump_times, times))
-        for m in avg:
-            assert abs(m.trace - 1.0) < 1e-12
+        avg = average_trajectories(*trajectory_state_series(HALF, PARAMS, jump_times, times))
+        assert np.all(np.abs(avg.rho00 + avg.rho11 - 1.0) < 1e-12)
 
     def test_monte_carlo_matches_master_at_ten_thousand(self):
         params = AtomParams(e0=0.0, e1=3.0, gamma=1.0)
@@ -160,17 +191,34 @@ class TestAverageTrajectories:
         mcfg = MasterRunConfig(dt=5 / 490, t_max=5.0, record_every=10)
         series = integrate_master(density_from_state(HALF), params, mcfg)
         avg = average_trajectories(
-            trajectory_state_series(HALF, params, jump_times, series.times)
+            *trajectory_state_series(HALF, params, jump_times, series.times)
         )
-        assert max_elementwise_deviation(avg, series.matrices) < 0.02
+        assert max_elementwise_deviation(avg, series) < 0.02
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            average_trajectories([])
+            trajectory_state_series(HALF, PARAMS, np.array([]), np.array([0.0, 1.0]))
 
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError):
-            average_trajectories([[GROUND, GROUND], [GROUND]])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_matches_per_trajectory_mean(self, seed):
+        # reference: every trajectory's state at every grid time (ground
+        # once jump <= t, the shared conditioned state before), averaged
+        initial = QubitState(0.6 + 0.0j, 0.48 + 0.64j)
+        times = np.linspace(0.0, 4.0, 9)
+        cfg = EnsembleConfig(
+            n_atoms=500, initial=initial, params=PARAMS, horizon=4.0, grid_points=2, base_seed=seed
+        )
+        jump_times = run_trajectories(cfg)
+        jump_times[:27] = times[np.arange(27) % len(times)]  # jumps exactly on grid points
+        avg = average_trajectories(*trajectory_state_series(initial, PARAMS, jump_times, times))
+
+        states = [no_jump_evolve(initial, PARAMS, float(t)) for t in times]
+        jumped = jump_times[:, None] <= times[None, :]
+        a0 = np.where(jumped, 1.0 + 0.0j, [s.a0 for s in states])
+        a1 = np.where(jumped, 0.0j, [s.a1 for s in states])
+        assert np.max(np.abs(avg.rho00 - np.mean(np.abs(a0) ** 2, axis=0))) <= 1e-12
+        assert np.max(np.abs(avg.rho11 - np.mean(np.abs(a1) ** 2, axis=0))) <= 1e-12
+        assert np.max(np.abs(avg.rho01 - np.mean(a0 * np.conj(a1), axis=0))) <= 1e-12
 
 
 def test_coherence_flow_matches_trajectory_finite_difference():
@@ -183,9 +231,9 @@ def test_coherence_flow_matches_trajectory_finite_difference():
     )
     jump_times = run_trajectories(cfg)
     times = np.array([t0 - h, t0, t0 + h])
-    avg = average_trajectories(trajectory_state_series(HALF, PARAMS, jump_times, times))
-    fd = (avg[2].rho01 - avg[0].rho01) / (2 * h)
-    expected = lindblad_rhs(avg[1], PARAMS).rho01
+    avg = average_trajectories(*trajectory_state_series(HALF, PARAMS, jump_times, times))
+    fd = (avg.rho01[2] - avg.rho01[0]) / (2 * h)
+    expected = lindblad_rhs(matrix_at(avg, 1), PARAMS).rho01
     assert abs(fd - expected) < 0.03
 
 
@@ -194,12 +242,12 @@ def test_max_elementwise_deviation_is_nan_when_any_entry_is_nan():
     bad = DensityMatrix2(1.0, math.nan, 0.0j)
     far = DensityMatrix2(0.0, 1.0, 0.0j)
     # the NaN must win wherever it sits, also next to a larger finite distance
-    assert math.isnan(max_elementwise_deviation([bad, good], [good, far]))
-    assert math.isnan(max_elementwise_deviation([good, bad], [far, good]))
-    assert max_elementwise_deviation([good, far], [good, good]) == 1.0
+    assert math.isnan(max_elementwise_deviation(series_of(bad, good), series_of(good, far)))
+    assert math.isnan(max_elementwise_deviation(series_of(good, bad), series_of(far, good)))
+    assert max_elementwise_deviation(series_of(good, far), series_of(good, good)) == 1.0
 
 
 def test_max_elementwise_deviation_requires_equal_lengths():
     m = DensityMatrix2(1.0, 0.0, 0.0j)
     with pytest.raises(ValueError):
-        max_elementwise_deviation([m], [m, m])
+        max_elementwise_deviation(series_of(m), series_of(m, m))
