@@ -1,7 +1,7 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .core import (
     EXCITED,
@@ -11,15 +11,10 @@ from .core import (
     DensityMatrix2,
     QubitState,
     density_from_state,
-    fidelity,
-    free_evolve,
     normalize,
 )
 from .dynamics import (
-    conditional_excited_prob,
-    jump_hazard,
-    no_jump_evolve,
-    no_jump_survival,
+    no_jump_series,
     sample_jump_times,
 )
 from .ensemble import (
@@ -28,7 +23,6 @@ from .ensemble import (
     expected_blackened,
     run_ensemble,
     run_trajectories,
-    survivor_state,
     trajectory_state_series,
 )
 from .interferometer import (
@@ -59,20 +53,14 @@ __all__ = [
     "DensityMatrix2",
     "QubitState",
     "density_from_state",
-    "fidelity",
-    "free_evolve",
     "normalize",
-    "conditional_excited_prob",
-    "jump_hazard",
-    "no_jump_evolve",
-    "no_jump_survival",
+    "no_jump_series",
     "sample_jump_times",
     "EnsembleConfig",
     "EnsembleStats",
     "expected_blackened",
     "run_ensemble",
     "run_trajectories",
-    "survivor_state",
     "trajectory_state_series",
     "EVConfig",
     "ModeState",

@@ -5,7 +5,8 @@ Subcommands
 decay-ensemble    N atoms in cells with click detectors; blackening curve
                   and survivor excited population over time.
 conditional-state Analytic no-emission conditioning of one atom (no
-                  sampling): excited probability and ground fidelity.
+                  sampling): the populations of the conditioned state,
+                  whose ground population is its fidelity with |g>.
 ev                Two-splitter interferometer with optional blocker:
                   exact outcome probabilities, optionally sampled shots.
 master-check      Trajectory average vs the master-equation oracle;
@@ -26,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .core import GROUND, AtomParams, ConfigurationError, QubitState, density_from_state, fidelity, normalize
-from .dynamics import conditional_excited_prob
-from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, survivor_state, trajectory_state_series
+from .core import AtomParams, ConfigurationError, QubitState, density_from_state, normalize
+from .dynamics import no_jump_series
+from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
 from .interferometer import EVConfig, detection_probs
 from .master import MasterRunConfig, average_trajectories, integrate_master, max_elementwise_deviation
 from .output import OutputRecord, write_record
@@ -207,17 +208,12 @@ def cmd_conditional_state(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"horizon must be positive and finite, got {args.horizon}")
     if args.grid < 2:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
-    grid = np.linspace(0.0, args.horizon, args.grid)
-    rows = []
-    for t in grid:
-        state = survivor_state(float(t), initial, params)
-        rows.append(
-            [
-                float(t),
-                conditional_excited_prob(args.p_excited, args.gamma, float(t)),
-                fidelity(GROUND, state),
-            ]
-        )
+    series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
+    # The fidelity with |g> of the pure conditioned state is its rho00.
+    rows = [
+        [t, p, f] for t, p, f in zip(series.times.tolist(), series.rho11.tolist(), series.rho00.tolist())
+    ]
+    del series  # the rows hold every value; free the arrays before rendering
     record = OutputRecord(
         scenario="conditional-state",
         seed=None,

@@ -2,13 +2,15 @@
 
 A pure state of the atom is a pair of complex amplitudes over the energy
 basis (ground, excited).  Everything in this module is a pure function on
-immutable value types: free phase evolution, overlap fidelity, and the
-projector / density-matrix view used by the master-equation oracle.
+immutable value types: normalization and the projector / density-matrix
+view used by the master-equation oracle.  Time evolution lives in
+:mod:`nullshadow.dynamics`.
 
 Conventions, fixed project-wide:
   * natural units, action constant = 1; energies are angular frequencies,
     so a state picks up the phase exp(-i * E * t) per level;
-  * global phase is kept as-is, comparisons go through ``fidelity``;
+  * global phase is kept as-is; states are compared through their
+    projectors (``density_from_state``), which do not see it;
   * the coherence stored in ``DensityMatrix2.rho01`` is the ground-row,
     excited-column matrix element, i.e. ``a0 * conj(a1)`` for a pure
     state; under free evolution it rotates as exp(+i * (e1 - e0) * t).
@@ -16,7 +18,6 @@ Conventions, fixed project-wide:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -134,26 +135,6 @@ def normalize(state: QubitState) -> QubitState:
     if n == 0.0:
         raise ValueError("null state")
     return QubitState(state.a0 / n, state.a1 / n)
-
-
-def free_evolve(state: QubitState, params: AtomParams, t: float) -> QubitState:
-    """Measurement-free evolution: each amplitude rotates at its level energy.
-
-    Populations are untouched; only phases move, the excited one at
-    ``e1`` and the ground one at ``e0``.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return QubitState(
-        state.a0 * cmath.exp(-1j * params.e0 * t),
-        state.a1 * cmath.exp(-1j * params.e1 * t),
-    )
-
-
-def fidelity(s1: QubitState, s2: QubitState) -> float:
-    """Squared overlap |<s1|s2>|^2; 1 iff equal up to a global phase."""
-    overlap = s1.a0.conjugate() * s2.a0 + s1.a1.conjugate() * s2.a1
-    return abs(overlap) ** 2
 
 
 def density_from_state(state: QubitState) -> DensityMatrix2:

@@ -10,7 +10,7 @@ and renormalizing it drains the excited population continuously even
 though nothing was emitted.  Its squared norm is the survival
 probability
 
-    S(t) = (1 - p1) + p1 * exp(-gamma t),        p1 = |a1|^2,
+    S(t) = p0 + p1 * exp(-gamma t),        p0 = |a0|^2, p1 = |a1|^2,
 
 which is also the exact waiting-time law used for jump sampling: the
 first-emission time is drawn by inverting S in closed form, so no time
@@ -23,48 +23,10 @@ caller; there is no hidden generator state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import AtomParams, QubitState, free_evolve, normalize
-
-
-def no_jump_evolve(state: QubitState, params: AtomParams, t: float) -> QubitState:
-    """Condition on no emission up to time t and renormalize.
-
-    The resulting excited population is
-    ``p1 e^(-gamma t) / ((1 - p1) + p1 e^(-gamma t))``; for a pure
-    excited state the damping cancels in the normalization, so the
-    direction survives arbitrarily long waits (until an actual jump).
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if abs(state.a0) == 0.0:
-        # Damping rescales the single excited amplitude only; the
-        # normalized state is plain phase evolution.  Doing it this way
-        # also dodges underflow of exp(-gamma t / 2) at huge gamma t.
-        return free_evolve(state, params, t)
-    drift = free_evolve(state, params, t)
-    return normalize(QubitState(drift.a0, drift.a1 * math.exp(-0.5 * params.gamma * t)))
-
-
-def jump_hazard(state: QubitState, params: AtomParams) -> float:
-    """Instantaneous emission rate gamma * |a1|^2."""
-    return params.gamma * state.excited_population
-
-
-def no_jump_survival(p1: float, gamma: float, t: float) -> float:
-    """Probability that an atom with excited weight p1 has not emitted by t.
-
-    S(t) = (1 - p1) + p1 * exp(-gamma t): the ground component never
-    radiates, so S saturates at 1 - p1 instead of vanishing.
-    """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"excited probability must be in [0, 1], got {p1}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return (1.0 - p1) + p1 * math.exp(-gamma * t)
+from .core import AtomParams, QubitState
+from .master import DensitySeries
 
 
 def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np.ndarray:
@@ -89,18 +51,30 @@ def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np
     return times
 
 
-def conditional_excited_prob(p1: float, gamma: float, t: float) -> float:
-    """Excited population after waiting time t with no emission seen.
+def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -> DensitySeries:
+    """Projector of the no-click conditioned state at each of ``times``.
 
-    Bayes on the null result: p1 e^(-gamma t) / ((1-p1) + p1 e^(-gamma t)).
-    Decreases monotonically to 0 whenever p1 < 1; a certainty (p1 = 1)
-    stays a certainty, since only an actual jump can change it.
+    With S(t) = p0 + p1 e^(-gamma t), the normalized no-jump branch gives
+    rho00 = p0 / S, rho11 = p1 e^(-gamma t) / S and
+    rho01 = a0 conj(a1) e^((i omega - gamma / 2) t) / S.  The excited
+    population falls monotonically to 0 whenever p0 > 0.  A pure excited
+    state (p0 == 0) stays excited, since only an actual jump can change
+    it; that case is returned directly, so S never underflows to 0/0.
     """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"excited probability must be in [0, 1], got {p1}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if p1 == 1.0:
-        return 1.0
-    decayed = p1 * math.exp(-gamma * t)
-    return decayed / ((1.0 - p1) + decayed)
+    times = np.asarray(times, dtype=float)
+    if times.size and not times.min() >= 0.0:
+        raise ValueError(f"time must be nonnegative, got {times.min()}")
+    p0, p1 = abs(initial.a0) ** 2, abs(initial.a1) ** 2
+    if p0 == 0.0:
+        zeros = np.zeros(times.shape)
+        return DensitySeries(times, zeros, np.ones(times.shape), zeros.astype(complex))
+    # Updated in place, so little is allocated beyond the three results.
+    rho11 = np.exp(-params.gamma * times)
+    rho11 *= p1
+    survival = rho11 + p0
+    rho01 = np.exp((1j * params.omega - 0.5 * params.gamma) * times)
+    rho01 *= initial.a0 * initial.a1.conjugate()
+    rho01 /= survival
+    rho11 /= survival
+    rho00 = np.divide(p0, survival, out=survival)
+    return DensitySeries(times, rho00, rho11, rho01)

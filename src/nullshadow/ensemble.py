@@ -20,6 +20,9 @@ Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
 bit-identical for a given seed.  The ``NULLSHADOW_THREADS`` environment
 variable is not read.
+
+The shared survivor state is :func:`nullshadow.dynamics.no_jump_series`,
+evaluated once over the whole time grid.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AtomParams, ConfigurationError, QubitState
-from .dynamics import conditional_excited_prob, no_jump_evolve, sample_jump_times
+from .dynamics import no_jump_series, sample_jump_times
 from .master import DensitySeries
 from .streams import uniforms_at
 
@@ -86,11 +89,6 @@ def expected_blackened(n: int, p1: float, gamma: float, t: float) -> float:
     return n * p1 * -math.expm1(-gamma * t)
 
 
-def survivor_state(t: float, initial: QubitState, params: AtomParams) -> QubitState:
-    """Conditioned state shared by every atom that has not emitted by t."""
-    return no_jump_evolve(initial, params, t)
-
-
 def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = None) -> np.ndarray:
     """Jump time of every atom, indexed by atom; ``inf`` past the horizon.
 
@@ -125,14 +123,12 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
                 survivors > 0, (n_excited - blackened) / survivors, np.nan
             )
     else:
-        # All survivors share one conditioned state, survivor_state(t).
-        survivor_excited = np.array(
-            [conditional_excited_prob(weights, cfg.params.gamma, t) for t in grid]
-        )
+        # All survivors share one conditioned state.
+        survivor_excited = no_jump_series(cfg.initial, cfg.params, grid).rho11
 
     measured = None
     if cfg.measure_survivors:
-        measured = _measure_survivors(cfg, weights, jump_times, grid)
+        measured = _measure_survivors(cfg, weights, jump_times, grid, survivor_excited)
 
     return EnsembleStats(
         grid=grid,
@@ -158,9 +154,7 @@ def trajectory_state_series(
     if len(jump_times) == 0:
         raise ValueError("jump_times is empty: no trajectories to describe")
     jumped = np.searchsorted(np.sort(jump_times), times, side="right") / len(jump_times)
-    states = [no_jump_evolve(initial, params, float(t)) for t in times]
-    a0, a1 = np.array([s.a0 for s in states]), np.array([s.a1 for s in states])
-    return jumped, DensitySeries(times, np.abs(a0) ** 2, np.abs(a1) ** 2, a0 * np.conj(a1))
+    return jumped, no_jump_series(initial, params, times)
 
 
 def _excited_weights(cfg: EnsembleConfig) -> float | np.ndarray:
@@ -177,12 +171,14 @@ def _measure_survivors(
     weights: float | np.ndarray,
     jump_times: np.ndarray,
     grid: np.ndarray,
+    survivor_excited: np.ndarray,
 ) -> np.ndarray:
     """Counterfactual projective measurement of each survivor per grid time.
 
     Draws are independent across grid points (slot 2 + g), so this is a
     diagnostic binomial estimate around the survivor excited population,
-    not a back-acting measurement sequence.
+    not a back-acting measurement sequence.  Premeasured survivors are
+    excited with their own weight, the others with ``survivor_excited[g]``.
     """
     indices = np.arange(cfg.n_atoms)
     out = np.empty(len(grid))
@@ -193,9 +189,6 @@ def _measure_survivors(
             out[g] = np.nan
             continue
         u = uniforms_at(cfg.base_seed, indices[alive], SLOT_MEASURE_BASE + g)
-        if cfg.premeasure:
-            hits = int((u < weights[alive]).sum())
-        else:
-            hits = int((u < conditional_excited_prob(weights, cfg.params.gamma, float(t))).sum())
-        out[g] = hits / n_alive
+        p = weights[alive] if cfg.premeasure else survivor_excited[g]
+        out[g] = int((u < p).sum()) / n_alive
     return out

@@ -12,18 +12,12 @@ import sys
 
 import numpy as np
 
-from nullshadow.core import (
-    GROUND,
-    AtomParams,
-    QubitState,
-    density_from_state,
-    fidelity,
-)
+from nullshadow.core import AtomParams, QubitState, density_from_state
+from nullshadow.dynamics import no_jump_series
 from nullshadow.ensemble import (
     EnsembleConfig,
     run_ensemble,
     run_trajectories,
-    survivor_state,
     trajectory_state_series,
 )
 from nullshadow.interferometer import EVConfig, Outcome, detection_probs, sample_photon
@@ -76,8 +70,9 @@ def test_exponential_law():
 
 
 def test_null_measurement_collapse():
-    fid = fidelity(survivor_state(30.0, HALF, PARAMS), GROUND)
-    excited_ln2 = survivor_state(LN2, HALF, PARAMS).excited_population
+    # the ground fidelity of the pure conditioned state is its rho00
+    fid = no_jump_series(HALF, PARAMS, np.array([30.0])).rho00[0]
+    excited_ln2 = no_jump_series(HALF, PARAMS, np.array([LN2])).rho11[0]
     analytic_ok = fid >= 1.0 - 1e-12 and abs(excited_ln2 - 1.0 / 3.0) <= 1e-12
 
     # cross-check the 1/3 by post-selection: among atoms silent up to

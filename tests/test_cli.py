@@ -128,6 +128,46 @@ class TestDecayEnsemble:
         data = json.loads(out.read_text())
         assert data["config"]["p_excited"] == 1.0
 
+    def test_excited_amplitudes_rounding_past_one_keep_survivors_excited(self, tmp_path):
+        # these amplitudes normalize to |a1|^2 = 1 + 4e-16; the survivor
+        # column once rejected that weight (exit 2) while --premeasure
+        # accepted the same state
+        argv = [
+            "decay-ensemble",
+            "--a1-re", "0.2",
+            "--a1-im", "0.5",
+            "--n-atoms", "100",
+            "--horizon", "60",
+            "--format", "csv",
+        ]
+        out = tmp_path / "excited.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        _, rows = read_csv_table(str(out))
+        assert [r[3] for r in rows] == [1.0] * len(rows)
+        assert run_cli(argv + ["--premeasure", "--out", str(out)]) == 0
+
+    def test_near_pure_excited_survivors_still_drain(self, tmp_path):
+        # a ground amplitude of 1e-10 rounds p1 to 1.0, yet a silent atom
+        # is not a pure excited one: its excited population must fall
+        out = tmp_path / "near.csv"
+        code = run_cli(
+            [
+                "decay-ensemble",
+                "--a0-re", "1e-10",
+                "--a1-re", "1",
+                "--n-atoms", "100",
+                "--horizon", "800",
+                "--out", str(out),
+                "--format", "csv",
+            ]
+        )
+        assert code == 0
+        _, rows = read_csv_table(str(out))
+        survivor = [r[3] for r in rows]
+        assert all(v is not None and math.isfinite(v) for v in survivor)
+        assert all(a >= b for a, b in zip(survivor, survivor[1:]))
+        assert survivor[0] == 1.0 and survivor[-1] == 0.0
+
     def test_premeasure_flag_recorded(self, tmp_path):
         out = tmp_path / "pre.json"
         code = run_cli(
@@ -220,6 +260,18 @@ class TestConditionalState:
         assert all(a <= b + 1e-15 for a, b in zip(fid, fid[1:]))
         assert fid[0] == pytest.approx(0.5, abs=1e-12)
         assert fid[-1] > 1.0 - 1e-12
+
+
+    def test_pure_excited_stays_excited_without_nan(self, tmp_path):
+        out = tmp_path / "excited.json"
+        code = run_cli(
+            ["conditional-state", "--p-excited", "1", "--horizon", "800", "--out", str(out)]
+        )
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert [row[1:] for row in data["rows"]] == [[1.0, 0.0]] * len(data["rows"])
+        assert data["summary"]["final_excited_prob"] == 1.0
+        assert data["summary"]["final_fidelity_with_ground"] == 0.0
 
 
 class TestEv:

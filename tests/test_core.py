@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from nullshadow.core import (
@@ -8,15 +9,34 @@ from nullshadow.core import (
     GROUND,
     AtomParams,
     ConfigurationError,
+    DensityMatrix2,
     QubitState,
     density_from_state,
-    fidelity,
-    free_evolve,
     normalize,
 )
+from nullshadow.dynamics import no_jump_series
 
 HALF = QubitState.from_excited_probability(0.5)
 PARAMS = AtomParams(e0=0.3, e1=1.7, gamma=1.0)
+FREE = AtomParams(e0=0.3, e1=1.7, gamma=0.0)  # no decay channel: free evolution
+
+
+def evolved(state, params, t):
+    """Projector of the state after time t without a click."""
+    s = no_jump_series(state, params, np.array([t]))
+    return DensityMatrix2(float(s.rho00[0]), float(s.rho11[0]), complex(s.rho01[0]))
+
+
+def state_of(rho):
+    """A pure state whose projector is rho (the global phase is free)."""
+    a0 = math.sqrt(rho.rho00)
+    return QubitState(complex(a0), rho.rho01.conjugate() / a0)
+
+
+def overlap(s1, s2):
+    """tr(rho1 rho2) of the two projectors: |<s1|s2>|^2 for pure states."""
+    r, q = density_from_state(s1), density_from_state(s2)
+    return r.rho00 * q.rho00 + r.rho11 * q.rho11 + 2.0 * (r.rho01 * q.rho01.conjugate()).real
 
 
 class TestNormalize:
@@ -49,70 +69,81 @@ class TestNormalize:
 
 
 class TestFreeEvolve:
+    """Without a decay channel the conditioned state only turns its phases."""
+
     def test_t_zero_is_identity(self):
-        s = free_evolve(HALF, PARAMS, 0.0)
-        assert s == HALF
+        rho, expected = evolved(HALF, FREE, 0.0), density_from_state(HALF)
+        assert rho.rho00 == pytest.approx(expected.rho00, abs=1e-15)
+        assert rho.rho11 == pytest.approx(expected.rho11, abs=1e-15)
+        assert rho.rho01 == pytest.approx(expected.rho01, abs=1e-15)
 
     def test_ground_gets_global_phase_only(self):
-        t = 2.37
-        s = free_evolve(GROUND, PARAMS, t)
-        assert s.ground_population == pytest.approx(1.0, abs=1e-12)
-        assert s.a0 == pytest.approx(cmath.exp(-1j * PARAMS.e0 * t), abs=1e-12)
+        # the phase exp(-i e0 t) is global: the projector does not see it
+        rho = evolved(GROUND, FREE, 2.37)
+        assert rho.rho00 == pytest.approx(1.0, abs=1e-12)
+        assert rho.rho11 == 0.0 and rho.rho01 == 0.0
 
     def test_pi_gap_flips_relative_sign(self):
-        # gap of pi over unit time rotates the relative phase by -pi;
+        # gap of pi over unit time rotates the relative phase by pi;
         # oracle: straight scalar exponentiation of each amplitude
         params = AtomParams(e0=0.0, e1=math.pi, gamma=0.0)
-        s = free_evolve(HALF, params, 1.0)
-        expected = QubitState(
-            HALF.a0 * cmath.exp(-1j * 0.0), HALF.a1 * cmath.exp(-1j * math.pi)
+        rho = evolved(HALF, params, 1.0)
+        expected = density_from_state(
+            QubitState(HALF.a0 * cmath.exp(-1j * 0.0), HALF.a1 * cmath.exp(-1j * math.pi))
         )
-        assert s.excited_population == pytest.approx(0.5, abs=1e-12)
-        assert fidelity(s, expected) == pytest.approx(1.0, abs=1e-12)
-        rel = (s.a1 / s.a0) / (HALF.a1 / HALF.a0)
-        assert cmath.phase(rel) == pytest.approx(-math.pi, abs=1e-12)
+        assert rho.rho11 == pytest.approx(0.5, abs=1e-12)
+        assert rho.rho01 == pytest.approx(expected.rho01, abs=1e-12)
+        rel = rho.rho01 / density_from_state(HALF).rho01
+        assert abs(cmath.phase(rel)) == pytest.approx(math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 17.5, 400.0])
     def test_populations_exactly_preserved(self, t):
         s = normalize(QubitState(0.3 + 0.4j, 0.5 - 0.2j))
-        out = free_evolve(s, PARAMS, t)
-        assert out.ground_population == pytest.approx(s.ground_population, abs=1e-12)
-        assert out.excited_population == pytest.approx(s.excited_population, abs=1e-12)
+        rho = evolved(s, FREE, t)
+        assert rho.rho00 == pytest.approx(s.ground_population, abs=1e-12)
+        assert rho.rho11 == pytest.approx(s.excited_population, abs=1e-12)
 
     def test_composition(self):
         s = normalize(QubitState(0.6, 0.8j))
-        a = free_evolve(free_evolve(s, PARAMS, 1.3), PARAMS, 2.9)
-        b = free_evolve(s, PARAMS, 4.2)
-        assert abs(a.a0 - b.a0) < 1e-9
-        assert abs(a.a1 - b.a1) < 1e-9
+        a = evolved(state_of(evolved(s, FREE, 1.3)), FREE, 2.9)
+        b = evolved(s, FREE, 4.2)
+        assert abs(a.rho00 - b.rho00) < 1e-9
+        assert abs(a.rho01 - b.rho01) < 1e-9
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            free_evolve(HALF, PARAMS, -0.5)
+            evolved(HALF, FREE, -0.5)
 
 
 class TestFidelity:
+    """States are compared through their projectors, blind to global phase."""
+
     def test_self_fidelity(self):
         s = normalize(QubitState(0.123 + 0.7j, -0.4 + 0.2j))
-        assert fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(s, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert fidelity(GROUND, EXCITED) == 0.0
+        assert overlap(GROUND, EXCITED) == 0.0
 
     def test_half_overlap(self):
-        assert fidelity(HALF, GROUND) == pytest.approx(0.5, abs=1e-12)
+        assert overlap(HALF, GROUND) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric(self):
         s1 = normalize(QubitState(0.9, 0.1j))
         s2 = normalize(QubitState(0.2 - 0.3j, 0.8))
-        assert fidelity(s1, s2) == pytest.approx(fidelity(s2, s1), abs=1e-15)
+        direct = abs(s1.a0.conjugate() * s2.a0 + s1.a1.conjugate() * s2.a1) ** 2
+        assert overlap(s1, s2) == pytest.approx(overlap(s2, s1), abs=1e-15)
+        assert overlap(s1, s2) == pytest.approx(direct, abs=1e-15)
 
     @pytest.mark.parametrize("phase", [0.1, math.pi / 3, 2.0, -1.2])
     def test_global_phase_invariance(self, phase):
         s1 = normalize(QubitState(0.6, 0.8))
         s2 = QubitState(s1.a0 * cmath.exp(1j * phase), s1.a1 * cmath.exp(1j * phase))
-        assert fidelity(s1, s2) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(s2, s1) == pytest.approx(1.0, abs=1e-12)
+        r1, r2 = density_from_state(s1), density_from_state(s2)
+        assert r2.rho00 == pytest.approx(r1.rho00, abs=1e-12)
+        assert r2.rho11 == pytest.approx(r1.rho11, abs=1e-12)
+        assert r2.rho01 == pytest.approx(r1.rho01, abs=1e-12)
+        assert overlap(s1, s2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDensityFromState:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,19 +8,12 @@ from nullshadow.core import (
     EXCITED,
     GROUND,
     AtomParams,
+    DensityMatrix2,
     QubitState,
     density_from_state,
-    fidelity,
-    free_evolve,
     normalize,
 )
-from nullshadow.dynamics import (
-    conditional_excited_prob,
-    jump_hazard,
-    no_jump_evolve,
-    no_jump_survival,
-    sample_jump_times,
-)
+from nullshadow.dynamics import no_jump_series, sample_jump_times
 from nullshadow.ensemble import EnsembleConfig
 from nullshadow.master import MasterRunConfig, integrate_master
 from nullshadow.streams import uniforms_at
@@ -39,107 +33,161 @@ def brute_force_no_jump(state, params, t, dt=1e-4):
     return normalize(QubitState(b0, b1))
 
 
+def reference_no_jump(state, params, t):
+    """Scalar reference: free phases, damping e^(-gamma t / 2), then normalize."""
+    a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
+    a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
+    return normalize(QubitState(a0, a1))
+
+
+def conditioned(state, params, t):
+    """The no-click conditioned projector at one time."""
+    s = no_jump_series(state, params, np.array([t]))
+    return DensityMatrix2(float(s.rho00[0]), float(s.rho11[0]), complex(s.rho01[0]))
+
+
+def state_of(rho):
+    """A pure state whose projector is rho (the global phase is free)."""
+    a0 = math.sqrt(rho.rho00)
+    return QubitState(complex(a0), rho.rho01.conjugate() / a0)
+
+
+def survival(state, params, t):
+    """S(t) = p0 / rho00(t): the silent fraction read off the conditioned state."""
+    return state.ground_population / conditioned(state, params, t).rho00
+
+
+def max_entry_distance(a, b):
+    return max(abs(a.rho00 - b.rho00), abs(a.rho11 - b.rho11), abs(a.rho01 - b.rho01))
+
+
 class TestNoJumpEvolve:
+    """The conditioned state ``no_jump_series`` against independent constructions."""
+
     def test_no_decay_matches_free_evolution(self):
         params = AtomParams(e0=0.2, e1=1.9, gamma=0.0)
         for t in (0.0, 0.7, 3.0):
-            a = no_jump_evolve(HALF, params, t)
-            b = free_evolve(HALF, params, t)
-            assert abs(a.a0 - b.a0) < 1e-12
-            assert abs(a.a1 - b.a1) < 1e-12
+            free = QubitState(HALF.a0 * cmath.exp(-0.2j * t), HALF.a1 * cmath.exp(-1.9j * t))
+            assert max_entry_distance(conditioned(HALF, params, t), density_from_state(free)) < 1e-12
 
     def test_long_wait_collapses_to_ground(self):
-        s = no_jump_evolve(HALF, PARAMS, 100.0)
-        assert fidelity(s, GROUND) > 1.0 - 1e-12
+        assert conditioned(HALF, PARAMS, 100.0).rho00 > 1.0 - 1e-12
 
     def test_excited_population_one_third_at_ln2(self):
-        s = no_jump_evolve(HALF, PARAMS, LN2)
-        assert s.excited_population == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert conditioned(HALF, PARAMS, LN2).rho11 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_ln2_against_brute_force_stepper(self):
         s = brute_force_no_jump(HALF, PARAMS, LN2)
         assert s.excited_population == pytest.approx(1.0 / 3.0, abs=5e-5)
+        assert s.excited_population == pytest.approx(conditioned(HALF, PARAMS, LN2).rho11, abs=5e-5)
 
     def test_ln2_against_bayes_on_master_populations(self):
         # unconditional excited population divided by the no-click
-        # probability must equal the conditioned population
+        # probability S = p0 + p1 e^(-gamma t) must equal the conditioned
+        # population
         rho0 = density_from_state(HALF)
         series = integrate_master(rho0, PARAMS, MasterRunConfig(dt=LN2 / 100, t_max=LN2))
-        p_click_free = no_jump_survival(0.5, PARAMS.gamma, LN2)
-        conditioned = series.rho11[-1] / p_click_free
-        assert conditioned == pytest.approx(
-            no_jump_evolve(HALF, PARAMS, LN2).excited_population, abs=1e-6
-        )
+        p_click_free = 0.5 + 0.5 * math.exp(-PARAMS.gamma * LN2)
+        conditioned_rho11 = series.rho11[-1] / p_click_free
+        assert conditioned_rho11 == pytest.approx(conditioned(HALF, PARAMS, LN2).rho11, abs=1e-6)
 
     def test_pure_excited_direction_survives_huge_waits(self):
         # the damping factor cancels in the normalization, even where
         # exp(-gamma t / 2) underflows
-        s = no_jump_evolve(EXCITED, PARAMS, 5000.0)
-        assert s.excited_population == pytest.approx(1.0, abs=1e-12)
+        assert conditioned(EXCITED, PARAMS, 5000.0).rho11 == pytest.approx(1.0, abs=1e-12)
 
     def test_semigroup_composition(self):
         s = normalize(QubitState(0.6 + 0.1j, 0.7 - 0.38j))
-        a = no_jump_evolve(no_jump_evolve(s, PARAMS, 0.9), PARAMS, 1.4)
-        b = no_jump_evolve(s, PARAMS, 2.3)
-        assert abs(a.a0 - b.a0) < 1e-9
-        assert abs(a.a1 - b.a1) < 1e-9
+        a = conditioned(state_of(conditioned(s, PARAMS, 0.9)), PARAMS, 1.4)
+        b = conditioned(s, PARAMS, 2.3)
+        assert max_entry_distance(a, b) < 1e-9
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 4.0, 25.0])
     def test_population_matches_conditional_formula(self, t):
+        # Bayes on the null result: p1 e^(-gamma t) / ((1 - p1) + p1 e^(-gamma t))
         s = normalize(QubitState(0.48, 0.2 + 0.85j))
-        out = no_jump_evolve(s, PARAMS, t)
-        expected = conditional_excited_prob(s.excited_population, PARAMS.gamma, t)
-        assert out.excited_population == pytest.approx(expected, abs=1e-12)
+        p1 = s.excited_population
+        decayed = p1 * math.exp(-PARAMS.gamma * t)
+        expected = decayed / ((1.0 - p1) + decayed)
+        assert conditioned(s, PARAMS, t).rho11 == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params", [PARAMS, AtomParams(e0=-0.4, e1=0.9, gamma=0.7), AtomParams(0.0, 2.0, 3.0)]
+    )
+    def test_matches_normalized_reference_on_random_states(self, params):
+        rng = np.random.default_rng(11)
+        amplitudes = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+        near_pure = [(1e-10, 1.0), (1.0, 1e-9j), (1e-7 - 2e-7j, 0.6 + 0.8j), (0.6, 1e-12)]
+        states = [normalize(QubitState(complex(a0), complex(a1))) for a0, a1 in [*amplitudes, *near_pure]]
+        times = np.linspace(0.0, 30.0, 61)
+        for s in states:
+            series = no_jump_series(s, params, times)
+            for k, t in enumerate(times.tolist()):
+                ref = density_from_state(reference_no_jump(s, params, t))
+                assert abs(series.rho00[k] - ref.rho00) <= 1e-15
+                assert abs(series.rho11[k] - ref.rho11) <= 1e-15
+                assert abs(series.rho01[k] - ref.rho01) <= 1e-15
 
 
 class TestJumpHazard:
+    """The emission rate gamma * rho11 of the conditioned state."""
+
     def test_ground_cannot_radiate(self):
-        assert jump_hazard(GROUND, PARAMS) == 0.0
+        assert PARAMS.gamma * conditioned(GROUND, PARAMS, 0.0).rho11 == 0.0
 
     def test_pure_excited_decays_at_gamma(self):
         params = AtomParams(e0=0.0, e1=1.0, gamma=2.5)
-        assert jump_hazard(EXCITED, params) == pytest.approx(2.5, abs=1e-15)
+        assert params.gamma * conditioned(EXCITED, params, 0.0).rho11 == pytest.approx(2.5, abs=1e-15)
 
     def test_half_superposition_halves_rate(self):
-        assert jump_hazard(HALF, PARAMS) == pytest.approx(0.5, abs=1e-12)
+        assert PARAMS.gamma * conditioned(HALF, PARAMS, 0.0).rho11 == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("p1", [0.2, 0.5, 0.9])
     @pytest.mark.parametrize("t", [0.05, 0.6, 2.0])
     def test_hazard_equals_minus_dlog_survival(self, p1, t):
         # -S'(t) = hazard(conditioned state at t) * S(t), S' by central
-        # finite differences
+        # finite differences of the closed-form survival law
+        def s_of(t):
+            return (1.0 - p1) + p1 * math.exp(-PARAMS.gamma * t)
+
         h = 1e-4
-        deriv = (
-            no_jump_survival(p1, PARAMS.gamma, t + h)
-            - no_jump_survival(p1, PARAMS.gamma, t - h)
-        ) / (2 * h)
-        conditioned = no_jump_evolve(QubitState.from_excited_probability(p1), PARAMS, t)
-        expected = -jump_hazard(conditioned, PARAMS) * no_jump_survival(p1, PARAMS.gamma, t)
+        deriv = (s_of(t + h) - s_of(t - h)) / (2 * h)
+        state = QubitState.from_excited_probability(p1)
+        expected = -PARAMS.gamma * conditioned(state, PARAMS, t).rho11 * s_of(t)
         assert deriv == pytest.approx(expected, abs=1e-6)
 
 
 class TestNoJumpSurvival:
+    """The survival law S(t) = p0 + p1 e^(-gamma t), as the sampler and the
+    conditioned state carry it."""
+
     def test_pure_excited_exponential(self):
-        assert no_jump_survival(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        # the waiting time at quantile 1 - e^-1 is one lifetime
+        (t,) = sample_jump_times(1.0, 1.0, [-math.expm1(-1.0)])
+        assert t == pytest.approx(1.0, abs=1e-15)
 
     def test_pure_ground_never_clicks(self):
         for t in (0.0, 1.0, 50.0):
-            assert no_jump_survival(0.0, 1.0, t) == 1.0
+            assert survival(GROUND, PARAMS, t) == 1.0
+            assert sample_jump_times(0.0, 1.0, [0.0])[0] == np.inf
 
     def test_half_superposition_saturates_at_half(self):
-        assert no_jump_survival(0.5, 1.0, 1e9) == pytest.approx(0.5, abs=1e-15)
+        assert survival(HALF, PARAMS, 1e9) == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_nonincreasing_from_one(self):
+        state = QubitState.from_excited_probability(0.7)
+        params = AtomParams(e0=0.0, e1=1.0, gamma=1.3)
         ts = np.linspace(0.0, 10.0, 200)
-        vals = [no_jump_survival(0.7, 1.3, float(t)) for t in ts]
-        assert vals[0] == 1.0
-        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+        vals = state.ground_population / no_jump_series(state, params, ts).rho00
+        assert vals[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(vals[1:] <= vals[:-1] + 1e-15)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            no_jump_survival(1.5, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            no_jump_survival(0.5, 1.0, -1.0)
+            QubitState.from_excited_probability(1.5)
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="time must be nonnegative"):
+                survival(HALF, PARAMS, t)
 
 
 class TestSampleJumpTime:
@@ -215,8 +263,7 @@ class TestRunTrajectory:
     def test_ground_atom_never_blackens(self):
         times = sample_jump_times(GROUND.excited_population, PARAMS.gamma, [0.0, 0.5, 0.99])
         assert np.all(times > 10.0)
-        survivor = no_jump_evolve(GROUND, PARAMS, 10.0)
-        assert fidelity(survivor, GROUND) == pytest.approx(1.0, abs=1e-12)
+        assert conditioned(GROUND, PARAMS, 10.0).rho00 == pytest.approx(1.0, abs=1e-12)
 
     def test_excited_median_jump(self):
         (t,) = sample_jump_times(1.0, PARAMS.gamma, [0.5])
@@ -251,24 +298,30 @@ class TestRunTrajectory:
 
 
 class TestConditionalExcitedProb:
+    """The excited population rho11 of the conditioned state."""
+
+    @staticmethod
+    def excited(p1, gamma, t):
+        return conditioned(QubitState.from_excited_probability(p1), AtomParams(0.0, 1.0, gamma), t).rho11
+
     def test_initial_value(self):
-        assert conditional_excited_prob(0.5, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert self.excited(0.5, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_one_third_at_ln2(self):
-        assert conditional_excited_prob(0.5, 1.0, LN2) == pytest.approx(1 / 3, abs=1e-12)
+        assert self.excited(0.5, 1.0, LN2) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_century_wait_with_minute_lifetime(self):
         # lifetime 1 minute, silence for 100 years of minutes
-        v = conditional_excited_prob(0.5, 1.0, 100 * 365 * 24 * 60)
+        v = self.excited(0.5, 1.0, 100 * 365 * 24 * 60)
         assert v < 1e-300
 
     def test_certainty_stays_certain(self):
-        assert conditional_excited_prob(1.0, 1.0, 5000.0) == 1.0
+        assert self.excited(1.0, 1.0, 5000.0) == 1.0
 
     def test_monotone_nonincreasing(self):
         ts = np.linspace(0.0, 20.0, 300)
-        vals = [conditional_excited_prob(0.8, 0.7, float(t)) for t in ts]
+        vals = no_jump_series(QubitState.from_excited_probability(0.8), AtomParams(0.0, 1.0, 0.7), ts).rho11
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_vanishes_for_any_partial_superposition(self):
-        assert conditional_excited_prob(0.999, 1.0, 2000.0) == 0.0
+        assert self.excited(0.999, 1.0, 2000.0) == 0.0

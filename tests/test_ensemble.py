@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from nullshadow.core import (
     ConfigurationError,
     QubitState,
     density_from_state,
-    fidelity,
+    normalize,
 )
-from nullshadow.dynamics import conditional_excited_prob, no_jump_evolve, sample_jump_times
+from nullshadow.dynamics import no_jump_series, sample_jump_times
 from nullshadow.ensemble import (
     SLOT_JUMP,
     SLOT_PREMEASURE,
@@ -20,7 +21,6 @@ from nullshadow.ensemble import (
     expected_blackened,
     run_ensemble,
     run_trajectories,
-    survivor_state,
     trajectory_state_series,
 )
 from nullshadow.streams import uniform_at, uniforms_at
@@ -28,6 +28,18 @@ from nullshadow.streams import uniform_at, uniforms_at
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
 LN2 = math.log(2.0)
+
+
+def reference_no_jump(state, params, t):
+    """Scalar reference: free phases, damping e^(-gamma t / 2), then normalize."""
+    a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
+    a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
+    return normalize(QubitState(a0, a1))
+
+
+def reference_excited(t):
+    """Excited population of the conditioned HALF atom under PARAMS at time t."""
+    return reference_no_jump(HALF, PARAMS, t).excited_population
 
 
 def make_cfg(**overrides):
@@ -52,11 +64,11 @@ class TestExpectedBlackened:
 
     def test_reference_value(self):
         # 1000 * 0.5 * (1 - e^-1), cross-checked against the survival law
-        from nullshadow.dynamics import no_jump_survival
-
+        # S = p0 / rho00 read off the conditioned state
         value = expected_blackened(1000, 0.5, 1.0, 1.0)
+        survival = HALF.ground_population / no_jump_series(HALF, PARAMS, np.array([1.0])).rho00[0]
         assert value == pytest.approx(316.06, abs=0.005)
-        assert value == pytest.approx(1000 * (1 - no_jump_survival(0.5, 1.0, 1.0)), abs=1e-9)
+        assert value == pytest.approx(1000 * (1 - survival), abs=1e-9)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -66,16 +78,20 @@ class TestExpectedBlackened:
 
 
 class TestSurvivorState:
+    """The state every silent atom shares, from ``no_jump_series``."""
+
     def test_initial_at_time_zero(self):
-        s = survivor_state(0.0, HALF, PARAMS)
-        assert fidelity(s, HALF) == pytest.approx(1.0, abs=1e-12)
+        s = no_jump_series(HALF, PARAMS, np.array([0.0]))
+        rho = density_from_state(HALF)
+        assert s.rho00[0] == pytest.approx(rho.rho00, abs=1e-12)
+        assert s.rho11[0] == pytest.approx(rho.rho11, abs=1e-12)
+        assert s.rho01[0] == pytest.approx(rho.rho01, abs=1e-12)
 
     def test_collapses_to_ground(self):
-        s = survivor_state(100.0, HALF, PARAMS)
-        assert fidelity(s, GROUND) > 1.0 - 1e-12
+        assert no_jump_series(HALF, PARAMS, np.array([100.0])).rho00[0] > 1.0 - 1e-12
 
     def test_one_third_at_ln2(self):
-        assert survivor_state(LN2, HALF, PARAMS).excited_population == pytest.approx(
+        assert no_jump_series(HALF, PARAMS, np.array([LN2])).rho11[0] == pytest.approx(
             1 / 3, abs=1e-12
         )
 
@@ -112,7 +128,7 @@ class TestRunEnsemble:
 
     def test_survivor_curve_is_conditioned_population(self):
         stats = run_ensemble(make_cfg())
-        expected = [conditional_excited_prob(0.5, 1.0, float(t)) for t in stats.grid]
+        expected = [reference_excited(float(t)) for t in stats.grid]
         assert np.allclose(stats.survivor_excited_prob, expected, atol=1e-12)
 
     def test_deterministic_across_threads_and_seeds(self, monkeypatch):
@@ -176,8 +192,7 @@ class TestPremeasure:
         cfg = make_cfg(n_atoms=4000, horizon=1.0)
         stats = run_ensemble(cfg)
         for t, reported in zip(stats.grid, stats.survivor_excited_prob):
-            shared = survivor_state(float(t), HALF, PARAMS)
-            assert shared.excited_population == pytest.approx(reported, abs=1e-12)
+            assert reference_excited(float(t)) == pytest.approx(reported, abs=1e-12)
 
     def test_empirical_survivor_curve_tracks_conditional_formula(self):
         cfg = make_cfg(n_atoms=100_000, horizon=2.0, grid_points=5, premeasure=True)
@@ -186,7 +201,7 @@ class TestPremeasure:
             stats.grid, stats.survivor_excited_prob, stats.blackened_count
         ):
             survivors = cfg.n_atoms - count
-            expected = conditional_excited_prob(0.5, 1.0, float(t))
+            expected = reference_excited(float(t))
             sigma = math.sqrt(max(expected * (1 - expected), 0.05) / survivors)
             assert abs(frac - expected) <= 4.0 * sigma
 
@@ -218,7 +233,7 @@ class TestMeasureSurvivors:
             stats.grid, stats.measured_excited_fraction, stats.blackened_count
         ):
             survivors = cfg.n_atoms - count
-            p = conditional_excited_prob(0.5, 1.0, float(t))
+            p = reference_excited(float(t))
             sigma = math.sqrt(max(p * (1 - p), 1e-4) / survivors)
             assert abs(measured - p) <= 4.0 * sigma
 
@@ -242,7 +257,7 @@ class TestTrajectoryStateSeries:
         assert jumped.tolist() == [0.0, 0.0, 0.5, 0.5]
         assert conditioned.times is times
         for k, t in enumerate(times):
-            cond = density_from_state(no_jump_evolve(HALF, PARAMS, float(t)))
+            cond = density_from_state(reference_no_jump(HALF, PARAMS, float(t)))
             assert conditioned.rho00[k] == pytest.approx(cond.rho00, abs=1e-12)
             assert conditioned.rho11[k] == pytest.approx(cond.rho11, abs=1e-12)
             assert conditioned.rho01[k] == pytest.approx(cond.rho01, abs=1e-12)
