@@ -13,8 +13,8 @@ master-check      Trajectory average vs the master-equation oracle;
                   exits 3 when the deviation exceeds the tolerance.
 
 Every run is deterministic under a fixed --seed.
-Exit codes: 0 success, 1 I/O failure, 2 usage/configuration error,
-3 oracle tolerance exceeded.
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 usage/configuration
+error, 3 oracle tolerance exceeded.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ from .master import MasterRunConfig, average_trajectories, integrate_master, max
 from .output import OutputRecord, write_record
 from .streams import uniforms_at
 
+# Output columns of the fixed-column subcommands; ev's depend on --shots.
+COLUMNS = {
+    "decay-ensemble": ["t", "blackened_count", "blackened_fraction", "survivor_excited_prob"],
+    "conditional-state": ["t", "excited_prob", "fidelity_with_ground"],
+    "master-check": ["t", "rho00_master", "rho11_master", "re_rho01_master", "im_rho01_master",
+                     "rho00_traj", "rho11_traj", "re_rho01_traj", "im_rho01_traj", "rho11_analytic"],
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -50,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "decay-ensemble",
         help="simulate N atoms in detector cells and tabulate the blackening curve",
-        epilog="output columns: t, blackened_count, blackened_fraction, "
-        "survivor_excited_prob",
+        epilog=_columns_epilog("decay-ensemble"),
     )
     p.add_argument("--n-atoms", type=int, required=True, help="number of atoms / cells")
     _add_state_flags(p)
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "conditional-state",
         help="analytic survivor state under no-emission conditioning (no sampling)",
-        epilog="output columns: t, excited_prob, fidelity_with_ground",
+        epilog=_columns_epilog("conditional-state"),
     )
     p.add_argument("--p-excited", type=float, required=True, help="initial excited probability")
     p.add_argument("--gamma", type=float, default=1.0, help="spontaneous decay rate")
@@ -98,9 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "master-check",
         help="compare the trajectory average against the master-equation oracle",
-        epilog="output columns: t, rho00_master, rho11_master, re_rho01_master, "
-        "im_rho01_master, rho00_traj, rho11_traj, re_rho01_traj, im_rho01_traj, "
-        "rho11_analytic; exits 3 when max_deviation exceeds --tol",
+        epilog=_columns_epilog("master-check") + "; exits 3 when max_deviation exceeds --tol",
     )
     p.add_argument("--p-excited", type=float, required=True, help="initial excited probability")
     _add_atom_flags(p)
@@ -119,6 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_master_check)
 
     return parser
+
+
+def _columns_epilog(command: str) -> str:
+    return "output columns: " + ", ".join(COLUMNS[command])
 
 
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
@@ -153,7 +162,7 @@ def _initial_state(args: argparse.Namespace) -> QubitState:
     return normalize(QubitState(a0, a1))
 
 
-def cmd_decay_ensemble(args: argparse.Namespace) -> int:
+def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     initial = _initial_state(args)
     params = AtomParams(e0=args.e0, e1=args.e1, gamma=args.gamma)
     cfg = EnsembleConfig(
@@ -175,7 +184,7 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> int:
         ]
         for k, (t, c) in enumerate(zip(stats.grid, stats.blackened_count))
     ]
-    record = OutputRecord(
+    return OutputRecord(
         scenario="decay-ensemble",
         seed=args.seed,
         config={
@@ -194,14 +203,12 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> int:
             "fraction_blackened_final": stats.fraction_blackened_final,
             "blackened_final": int(stats.blackened_count[-1]),
         },
-        columns=["t", "blackened_count", "blackened_fraction", "survivor_excited_prob"],
+        columns=COLUMNS["decay-ensemble"],
         rows=rows,
     )
-    write_record(record, args.out, args.format)
-    return 0
 
 
-def cmd_conditional_state(args: argparse.Namespace) -> int:
+def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     initial = QubitState.from_excited_probability(args.p_excited)
     params = AtomParams(e0=0.0, e1=1.0, gamma=args.gamma)
     if not (math.isfinite(args.horizon) and args.horizon > 0.0):
@@ -214,7 +221,7 @@ def cmd_conditional_state(args: argparse.Namespace) -> int:
         [t, p, f] for t, p, f in zip(series.times.tolist(), series.rho11.tolist(), series.rho00.tolist())
     ]
     del series  # the rows hold every value; free the arrays before rendering
-    record = OutputRecord(
+    return OutputRecord(
         scenario="conditional-state",
         seed=None,
         config={
@@ -227,14 +234,12 @@ def cmd_conditional_state(args: argparse.Namespace) -> int:
             "final_excited_prob": rows[-1][1],
             "final_fidelity_with_ground": rows[-1][2],
         },
-        columns=["t", "excited_prob", "fidelity_with_ground"],
+        columns=COLUMNS["conditional-state"],
         rows=rows,
     )
-    write_record(record, args.out, args.format)
-    return 0
 
 
-def cmd_ev(args: argparse.Namespace) -> int:
+def cmd_ev(args: argparse.Namespace) -> OutputRecord:
     cfg = EVConfig(
         splitter1_transmissivity=args.t1,
         splitter2_transmissivity=args.t2,
@@ -268,7 +273,7 @@ def cmd_ev(args: argparse.Namespace) -> int:
     else:
         columns = ["outcome", "probability"]
         rows = [[tag, p] for tag, p in zip(("D1", "D2", "Absorbed"), probs)]
-    record = OutputRecord(
+    return OutputRecord(
         scenario="ev",
         seed=args.seed,
         config={
@@ -283,11 +288,9 @@ def cmd_ev(args: argparse.Namespace) -> int:
         columns=columns,
         rows=rows,
     )
-    write_record(record, args.out, args.format)
-    return 0
 
 
-def cmd_master_check(args: argparse.Namespace) -> int:
+def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
     initial = QubitState.from_excited_probability(args.p_excited)
     params = AtomParams(e0=args.e0, e1=args.e1, gamma=args.gamma)
     if args.n_traj < 1:
@@ -329,7 +332,7 @@ def cmd_master_check(args: argparse.Namespace) -> int:
             analytic,
         ]
     ).tolist()
-    record = OutputRecord(
+    return OutputRecord(
         scenario="master-check",
         seed=args.seed,
         config={
@@ -349,38 +352,23 @@ def cmd_master_check(args: argparse.Namespace) -> int:
             "passed": deviation <= tol,
             "max_population_error_vs_analytic": population_error,
         },
-        columns=[
-            "t",
-            "rho00_master",
-            "rho11_master",
-            "re_rho01_master",
-            "im_rho01_master",
-            "rho00_traj",
-            "rho11_traj",
-            "re_rho01_traj",
-            "im_rho01_traj",
-            "rho11_analytic",
-        ],
+        columns=COLUMNS["master-check"],
         rows=rows,
     )
-    write_record(record, args.out, args.format)
-    return 0 if deviation <= tol else 3
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigurationError as err:
+        record = args.func(args)
+        write_record(record, args.out, args.format)
+    except ValueError as err:  # ConfigurationError included
         print(f"nullshadow: error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"nullshadow: error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"nullshadow: error: {err}", file=sys.stderr)
+    except (OSError, MemoryError) as err:
+        print(f"nullshadow: error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
+    return 3 if record.summary.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -70,21 +70,26 @@ def lindblad_rhs(rho: DensityMatrix2, params: AtomParams) -> DensityMatrix2:
     )
 
 
-def _step_rk4(rho: DensityMatrix2, params: AtomParams, dt: float) -> DensityMatrix2:
-    k1 = lindblad_rhs(rho, params)
-    k2 = lindblad_rhs(_shift(rho, k1, 0.5 * dt), params)
-    k3 = lindblad_rhs(_shift(rho, k2, 0.5 * dt), params)
-    k4 = lindblad_rhs(_shift(rho, k3, dt), params)
+def _step_rk4(
+    rho00: float, rho11: float, rho01: complex, gamma: float, rate: complex, dt: float
+) -> tuple[float, float, complex]:
+    """One classical RK4 step of ``lindblad_rhs`` on plain numbers; rate = i*omega - gamma/2.
+
+    The IEEE operations and their order are those of four ``lindblad_rhs``
+    calls: adding the rho11 derivative -flow rounds as subtracting flow.
+    """
+    half = 0.5 * dt
+    f1 = gamma * rho11
+    c1 = rate * rho01
+    f2 = gamma * (rho11 - half * f1)
+    c2 = rate * (rho01 + half * c1)
+    f3 = gamma * (rho11 - half * f2)
+    c3 = rate * (rho01 + half * c2)
+    f4 = gamma * (rho11 - dt * f3)
+    c4 = rate * (rho01 + dt * c3)
     sixth = dt / 6.0
-    return DensityMatrix2(
-        rho00=rho.rho00 + sixth * (k1.rho00 + 2.0 * k2.rho00 + 2.0 * k3.rho00 + k4.rho00),
-        rho11=rho.rho11 + sixth * (k1.rho11 + 2.0 * k2.rho11 + 2.0 * k3.rho11 + k4.rho11),
-        rho01=rho.rho01 + sixth * (k1.rho01 + 2.0 * k2.rho01 + 2.0 * k3.rho01 + k4.rho01),
-    )
-
-
-def _shift(rho: DensityMatrix2, d: DensityMatrix2, h: float) -> DensityMatrix2:
-    return DensityMatrix2(rho.rho00 + h * d.rho00, rho.rho11 + h * d.rho11, rho.rho01 + h * d.rho01)
+    flow = sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return rho00 + flow, rho11 - flow, rho01 + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
 
 
 def integrate_master(
@@ -102,19 +107,21 @@ def integrate_master(
             f"omega={params.omega}"
         )
     n_steps = cfg.n_steps
+    rate = 1j * params.omega - 0.5 * params.gamma
     times = [0.0]
-    matrices = [rho0]
-    rho = rho0
+    state = (rho0.rho00, rho0.rho11, rho0.rho01)
+    states = [state]
     for k in range(1, n_steps + 1):
-        rho = _step_rk4(rho, params, cfg.dt)
+        state = _step_rk4(*state, params.gamma, rate, cfg.dt)
         if k % cfg.record_every == 0 or k == n_steps:
             times.append(k * cfg.dt)
-            matrices.append(rho)
+            states.append(state)
+    rho00, rho11, rho01 = zip(*states)
     return DensitySeries(
         times=np.array(times),
-        rho00=np.array([m.rho00 for m in matrices]),
-        rho11=np.array([m.rho11 for m in matrices]),
-        rho01=np.array([m.rho01 for m in matrices], dtype=complex),
+        rho00=np.array(rho00),
+        rho11=np.array(rho11),
+        rho01=np.array(rho01, dtype=complex),
     )
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
@@ -408,6 +409,42 @@ def test_all_json_outputs_validate_against_schema(tmp_path):
         out = tmp_path / f"r{i}.json"
         assert run_cli(args + ["--out", str(out), "--format", "json"]) == 0
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+# One run per subcommand that writes a JSON record; ev with --shots 0.
+COLUMN_RUNS = {
+    "decay-ensemble": DECAY,
+    "conditional-state": COND,
+    "ev": ["ev", "--shots", "0"],
+    "master-check": MASTER,
+}
+
+
+@pytest.mark.parametrize("command", COLUMN_RUNS)
+def test_help_lists_the_record_columns(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    epilog = " ".join(capsys.readouterr().out.split()).split("output columns: ", 1)[1]
+    listed = re.split(r" \(|;", epilog)[0].split(", ")
+    out = tmp_path / "record.json"
+    assert run_cli(COLUMN_RUNS[command] + ["--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())["columns"] == listed
+
+
+# Each asks numpy for a 728 TiB array, which it refuses at once.
+OVERSIZED_ARGVS = [
+    ["decay-ensemble", "--n-atoms", "100000000000000", "--p-excited", "0.5", "--horizon", "2"],
+    ["ev", "--shots", "100000000000000"],
+    ["conditional-state", "--p-excited", "0.5", "--horizon", "2", "--grid", "100000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGVS, ids=lambda argv: argv[0])
+def test_out_of_memory_exits_1_with_one_line(argv, capsys):
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nullshadow: error: ") and err.count("\n") == 1, err
 
 
 def test_csv_and_json_tables_carry_identical_values(tmp_path):

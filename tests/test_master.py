@@ -18,6 +18,7 @@ from nullshadow.ensemble import EnsembleConfig, run_trajectories, trajectory_sta
 from nullshadow.master import (
     DensitySeries,
     MasterRunConfig,
+    _step_rk4,
     average_trajectories,
     integrate_master,
     lindblad_rhs,
@@ -34,6 +35,51 @@ def reference_no_jump(state, params, t):
     a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
     a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
     return normalize(QubitState(a0, a1))
+
+
+def reference_step_rk4(rho, params, dt):
+    """RK4 step built from lindblad_rhs on DensityMatrix2 values."""
+    k1 = lindblad_rhs(rho, params)
+    k2 = lindblad_rhs(reference_shift(rho, k1, 0.5 * dt), params)
+    k3 = lindblad_rhs(reference_shift(rho, k2, 0.5 * dt), params)
+    k4 = lindblad_rhs(reference_shift(rho, k3, dt), params)
+    sixth = dt / 6.0
+    return DensityMatrix2(
+        rho00=rho.rho00 + sixth * (k1.rho00 + 2.0 * k2.rho00 + 2.0 * k3.rho00 + k4.rho00),
+        rho11=rho.rho11 + sixth * (k1.rho11 + 2.0 * k2.rho11 + 2.0 * k3.rho11 + k4.rho11),
+        rho01=rho.rho01 + sixth * (k1.rho01 + 2.0 * k2.rho01 + 2.0 * k3.rho01 + k4.rho01),
+    )
+
+
+def reference_shift(rho, d, h):
+    return DensityMatrix2(rho.rho00 + h * d.rho00, rho.rho11 + h * d.rho11, rho.rho01 + h * d.rho01)
+
+
+# (e0, e1, gamma, dt), including gamma = 0 and omega = 0
+STEP_PARAMS = [
+    (0.0, 1.0, 1.0, 2e-4),
+    (0.4, 2.7, 0.7, 1e-3),
+    (-1.0, 0.5, 2.5, 0.01),
+    (0.0, 3.0, 0.0, 0.02),
+    (0.0, 0.0, 1.3, 0.05),
+    (0.0, 0.0, 0.0, 0.1),
+]
+
+
+def random_matrices(seed, n=200):
+    """Pure and mixed states with complex coherences."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    mix = rng.uniform(size=n)
+    return [
+        DensityMatrix2(
+            float(m * abs(a0) ** 2 + (1.0 - m) * 0.5),
+            float(m * abs(a1) ** 2 + (1.0 - m) * 0.5),
+            complex(m * a0 * a1.conjugate()),
+        )
+        for (a0, a1), m in zip(a, mix)
+    ]
 
 
 def series_of(*matrices):
@@ -81,6 +127,33 @@ class TestLindbladRhs:
         assert series.rho01[-1] == pytest.approx(pure, abs=1e-9)
         expected = 0.5 * cmath.exp(1j * params.omega * t)
         assert pure == pytest.approx(expected, abs=1e-12)
+
+
+class TestStepRk4:
+    @pytest.mark.parametrize("e0, e1, gamma, dt", STEP_PARAMS)
+    def test_plain_step_is_bit_identical_to_reference(self, e0, e1, gamma, dt):
+        params = AtomParams(e0=e0, e1=e1, gamma=gamma)
+        rate = 1j * params.omega - 0.5 * params.gamma
+        for rho in random_matrices(seed=0):
+            ref = reference_step_rk4(rho, params, dt)
+            step = _step_rk4(rho.rho00, rho.rho11, rho.rho01, params.gamma, rate, dt)
+            assert step == (ref.rho00, ref.rho11, ref.rho01)
+
+    @pytest.mark.parametrize("e0, e1, gamma, dt", STEP_PARAMS)
+    def test_integration_is_bit_identical_to_iterated_reference(self, e0, e1, gamma, dt):
+        params = AtomParams(e0=e0, e1=e1, gamma=gamma)
+        rho0 = random_matrices(seed=7, n=1)[0]
+        cfg = MasterRunConfig(dt=dt, t_max=300 * dt, record_every=7)
+        series = integrate_master(rho0, params, cfg)
+        rho, expected = rho0, [rho0]
+        for k in range(1, cfg.n_steps + 1):
+            rho = reference_step_rk4(rho, params, dt)
+            if k % cfg.record_every == 0 or k == cfg.n_steps:
+                expected.append(rho)
+        assert series.times.tolist() == [k * dt for k in [*range(0, 300, 7), 300]]
+        assert series.rho00.tolist() == [m.rho00 for m in expected]
+        assert series.rho11.tolist() == [m.rho11 for m in expected]
+        assert series.rho01.tolist() == [m.rho01 for m in expected]
 
 
 class TestIntegrateMaster:
