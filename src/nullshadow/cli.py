@@ -49,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nullshadow",
         description="Quantum-trajectory simulator: decaying two-level atoms, "
         "null-measurement conditioning, and a blocker interferometer.",
-        epilog="exit codes: 0 success, 1 I/O failure, 2 usage/configuration error, "
-        "3 oracle tolerance exceeded (master-check)",
+        epilog="exit codes: 0 success, 1 I/O failure or out of memory, "
+        "2 usage/configuration error, 3 oracle tolerance exceeded (master-check)",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -217,10 +217,7 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
     series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
     # The fidelity with |g> of the pure conditioned state is its rho00.
-    rows = [
-        [t, p, f] for t, p, f in zip(series.times.tolist(), series.rho11.tolist(), series.rho00.tolist())
-    ]
-    del series  # the rows hold every value; free the arrays before rendering
+    rows = np.column_stack([series.times, series.rho11, series.rho00]).tolist()
     return OutputRecord(
         scenario="conditional-state",
         seed=None,

@@ -39,21 +39,28 @@ class OutputRecord:
     rows: list[list[Any]]
     version: str = field(default=__version__)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "version": self.version,
-            "seed": self.seed,
-            "config": _plain(self.config),
-            "summary": _plain(self.summary),
-            "columns": list(self.columns),
-            "rows": _plain(self.rows),
-        }
+
+# With no indent the C encoder runs; this item separator puts every cell
+# on its own line at the depth indent=2 gives a cell of a row.  JSON
+# escapes newlines inside strings, so with scalar cells (the schema's
+# rule) "]" + separator + "[" occurs only between two rows.
+_CELL_SEP = ",\n      "
+_ROW_BOUNDARY = "]" + _CELL_SEP + "["
+_ROWS_ENCODER = json.JSONEncoder(separators=(_CELL_SEP, ": "), allow_nan=False)
 
 
 def render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record.to_json_dict(), indent=2, allow_nan=False) + "\n"
+        head = {
+            "scenario": record.scenario,
+            "version": record.version,
+            "seed": record.seed,
+            "config": _plain(record.config),
+            "summary": _plain(record.summary),
+            "columns": list(record.columns),
+        }
+        text = json.dumps(head, indent=2, allow_nan=False)
+        return text[: -len("\n}")] + ',\n  "rows": ' + _rows_json(record.rows) + "\n}\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -89,10 +96,31 @@ def load_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
+def _rows_json(rows: list[list[Any]]) -> str:
+    """The table as json.dumps(indent=2) lays it out inside the record."""
+    try:
+        text = _ROWS_ENCODER.encode(rows)
+    except (ValueError, TypeError):  # a NaN or numpy cell
+        rows = _plain(rows)
+        try:
+            text = _ROWS_ENCODER.encode(rows)
+        except ValueError:
+            # The C encoder leaves the value out; name it as json.dumps does.
+            bad = next((v for row in rows for v in row if v in (math.inf, -math.inf)), None)
+            if bad is None:
+                raise
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
+    if text == "[]":
+        return text
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + row + "\n    ]" if row else "[]" for row in text[2:-2].split(_ROW_BOUNDARY)
+    ) + "\n  ]"
+
+
 def _plain(value: Any) -> Any:
     """Coerce numpy scalars/arrays and NaN into JSON-safe plain Python."""
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        value = value.item() if not hasattr(value, "__len__") else list(value)
+    if hasattr(value, "tolist"):
+        value = value.tolist()
     if isinstance(value, float) and math.isnan(value):
         return None
     if isinstance(value, dict):

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nullshadow.cli import main
+from nullshadow import cli
+from nullshadow.cli import build_parser, main
 from nullshadow.interferometer import EVConfig, Outcome, sample_photon
 from nullshadow.output import load_schema, read_csv_table
 from nullshadow.streams import uniforms_at
+from test_output import reference_json
 
 LN2 = math.log(2.0)
 
@@ -430,6 +432,50 @@ def test_help_lists_the_record_columns(command, tmp_path, capsys):
     out = tmp_path / "record.json"
     assert run_cli(COLUMN_RUNS[command] + ["--out", str(out), "--format", "json"]) == 0
     assert json.loads(out.read_text())["columns"] == listed
+
+
+# The benchmark's four command lines at smoke size, a --premeasure run whose
+# survivor column turns NaN once every atom has emitted, and both ev tables.
+RENDER_RUNS = {
+    "decay-100k": ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "2000",
+                   "--horizon", "20", "--grid", "41", "--seed", "1"],
+    "decay-premeasure": ["decay-ensemble", "--p-excited", "1", "--premeasure", "--n-atoms", "20",
+                         "--horizon", "20", "--grid", "11", "--seed", "1"],
+    "oracle-30k": ["master-check", "--p-excited", "0.5", "--n-traj", "1000", "--horizon", "5",
+                   "--dt", "0.01", "--grid", "50", "--seed", "1"],
+    "oracle-fine": ["master-check", "--p-excited", "0.5", "--n-traj", "1000", "--horizon", "1",
+                    "--dt", "0.001", "--grid", "50", "--seed", "1"],
+    "conditional-dense": ["conditional-state", "--p-excited", "0.5", "--gamma", "1",
+                          "--horizon", "10", "--grid", "101"],
+    "ev": ["ev", "--blocker", "b"],
+    "ev-shots": ["ev", "--blocker", "b", "--shots", "100", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name", RENDER_RUNS)
+def test_json_file_is_the_reference_render(name, tmp_path):
+    argv = RENDER_RUNS[name]
+    args = build_parser().parse_args(argv)
+    expected = reference_json(args.func(args))
+    out = tmp_path / "record.json"
+    assert run_cli(argv + ["--out", str(out), "--format", "json"]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    if name == "decay-premeasure":
+        assert json.loads(expected)["rows"][-1][-1] is None
+
+
+def _exit_codes(text):
+    codes = " ".join(text.split()).split("xit codes: ", 1)[1]
+    return dict(re.findall(r"([0-3]) ([^,.(]+?)(?= \(|[,.]|$)", codes))
+
+
+def test_help_epilog_names_the_documented_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    codes = _exit_codes(capsys.readouterr().out)
+    assert sorted(codes) == ["0", "1", "2", "3"]
+    assert codes == _exit_codes(cli.__doc__)
 
 
 # Each asks numpy for a 728 TiB array, which it refuses at once.

@@ -4,8 +4,37 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nullshadow.output import OutputRecord, load_schema, read_csv_table, render, write_record
+
+
+def plain(value):
+    """numpy values to Python ones and NaN to None, written out apart from the package."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return plain(value.tolist())
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def reference_json(record):
+    """The JSON format, byte for byte: json.dumps of the plain record at indent 2."""
+    data = {
+        "scenario": record.scenario,
+        "version": record.version,
+        "seed": record.seed,
+        "config": plain(record.config),
+        "summary": plain(record.summary),
+        "columns": list(record.columns),
+        "rows": plain(record.rows),
+    }
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def sample_record():
@@ -65,15 +94,72 @@ def test_numpy_values_are_coerced():
     rec = OutputRecord(
         scenario="decay-ensemble",
         seed=0,
-        config={"horizon": np.float64(2.0)},
+        config={
+            "horizon": np.float64(2.0),
+            "a1": np.array(0.5),
+            "grid": np.array([[1.0, np.nan]]),
+        },
         summary={"count": np.int64(5)},
         columns=["t"],
         rows=[[np.float64(0.1)]],
     )
     data = json.loads(render(rec, "json"))
     assert data["config"]["horizon"] == 2.0
+    assert data["config"]["a1"] == 0.5
+    assert data["config"]["grid"] == [[1.0, None]]
     assert data["summary"]["count"] == 5
     assert data["rows"][0][0] == 0.1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.float64(math.inf)])
+def test_infinite_cell_names_its_value(bad):
+    rec = OutputRecord(
+        scenario="ev", seed=None, config={}, summary={}, columns=["x"], rows=[[1.0], [bad]]
+    )
+    with pytest.raises(ValueError) as exc:
+        render(rec, "json")
+    assert str(exc.value) == f"Out of range float values are not JSON compliant: {float(bad)!r}"
+
+
+# Cells of every kind a record can hold, with the values where a float's
+# text or a row boundary could go wrong pinned alongside random ones.
+EDGE_STRINGS = [", ", "], [", "]", "[", "a\nb", 'say "hi"', "", "\u00e9"]
+CELLS = st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e22, 2**60, 1 / 3]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_infinity=False).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.sampled_from(EDGE_STRINGS),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.lists(CELLS, max_size=5), max_size=6),
+    summary=st.dictionaries(st.text(max_size=4), CELLS, max_size=3),
+)
+@example(rows=[], summary={})
+@example(rows=[[], []], summary={})
+@example(
+    rows=[
+        [-0.0, 5e-324, 1e22, 2**60],
+        [],
+        [True, None, math.nan],
+        [np.float64(0.1), np.int64(5), np.bool_(False), np.float64(math.nan)],
+        EDGE_STRINGS,
+    ],
+    summary={"passed": np.bool_(True)},
+)
+def test_json_render_is_byte_identical_to_indented_dumps(rows, summary):
+    rec = OutputRecord(
+        scenario="ev", seed=3, config={"t1": 0.5}, summary=summary, columns=["a", "b"], rows=rows
+    )
+    assert render(rec, "json") == reference_json(rec)
 
 
 def test_unknown_format_rejected():
