@@ -1,7 +1,7 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .core import (
     EXCITED,
@@ -27,13 +27,8 @@ from .ensemble import (
 )
 from .interferometer import (
     EVConfig,
-    ModeState,
-    Outcome,
-    apply_arm_phases,
-    apply_blocker,
-    beam_splitter,
+    count_outcomes,
     detection_probs,
-    sample_photon,
 )
 from .master import (
     DensitySeries,
@@ -63,13 +58,8 @@ __all__ = [
     "run_trajectories",
     "trajectory_state_series",
     "EVConfig",
-    "ModeState",
-    "Outcome",
-    "apply_arm_phases",
-    "apply_blocker",
-    "beam_splitter",
+    "count_outcomes",
     "detection_probs",
-    "sample_photon",
     "DensitySeries",
     "MasterRunConfig",
     "average_trajectories",

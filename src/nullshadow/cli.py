@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import __version__
 from .core import AtomParams, ConfigurationError, QubitState, density_from_state, normalize
 from .dynamics import no_jump_series
 from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
-from .interferometer import EVConfig, detection_probs
+from .interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from .master import MasterRunConfig, average_trajectories, integrate_master, max_elementwise_deviation
 from .output import OutputRecord, write_record
 from .streams import uniforms_at
@@ -256,20 +257,13 @@ def cmd_ev(args: argparse.Namespace) -> OutputRecord:
         "shots": args.shots,
     }
     if args.shots > 0:
-        # Same thresholds and category order as sample_photon, vectorized.
-        u = uniforms_at(args.seed, np.arange(args.shots), 0)
-        n_d1 = int(np.count_nonzero(u < probs.p_d1))
-        n_d2 = int(np.count_nonzero(u < probs.p_d1 + probs.p_d2)) - n_d1
-        counts = [n_d1, n_d2, args.shots - n_d1 - n_d2]
-        summary["counts"] = {"D1": counts[0], "D2": counts[1], "Absorbed": counts[2]}
+        counts = count_outcomes(probs, uniforms_at(args.seed, np.arange(args.shots), 0))
+        summary["counts"] = dict(zip(OUTCOMES, counts))
         columns = ["outcome", "probability", "count", "frequency"]
-        rows = [
-            [tag, p, c, c / args.shots]
-            for tag, p, c in zip(("D1", "D2", "Absorbed"), probs, counts)
-        ]
+        rows = [[tag, p, c, c / args.shots] for tag, p, c in zip(OUTCOMES, probs, counts)]
     else:
         columns = ["outcome", "probability"]
-        rows = [[tag, p] for tag, p in zip(("D1", "D2", "Absorbed"), probs)]
+        rows = [[tag, p] for tag, p in zip(OUTCOMES, probs)]
     return OutputRecord(
         scenario="ev",
         seed=args.seed,
@@ -306,8 +300,6 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
         grid_points=2,
         base_seed=args.seed,
     )
-    jump_times = run_trajectories(ecfg)
-
     n_steps = MasterRunConfig(dt=args.dt, t_max=args.horizon).n_steps
     mcfg = MasterRunConfig(
         dt=args.dt,
@@ -315,6 +307,9 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
         record_every=max(1, n_steps // (args.grid - 1)),
     )
     series = integrate_master(density_from_state(initial), params, mcfg)
+    # The oracle's last time n_steps * dt may round past the horizon; every
+    # jump up to it must count.
+    jump_times = run_trajectories(replace(ecfg, horizon=series.times[-1]))
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
     deviation = max_elementwise_deviation(averaged, series)
 

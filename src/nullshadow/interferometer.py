@@ -4,8 +4,9 @@ One photon, two rails.  The pipeline is: first splitter, per-arm
 propagation phases, optional blocker in one arm, second splitter, then
 detectors D1 (rail a) and D2 (rail b).  A blocker converts the
 amplitude in its arm into accumulated absorption probability, so
-``|amp_a|^2 + |amp_b|^2 + p_absorbed`` stays exactly 1 through every
-stage.
+``|amp_a|^2 + |amp_b|^2 + p_absorbed`` stays 1.  ``detection_probs``
+evaluates the whole pipeline as one closed form on two complex
+amplitudes.
 
 Conventions, fixed once:
   * a splitter of power transmissivity T applies
@@ -21,35 +22,19 @@ Conventions, fixed once:
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
+
+import numpy as np
 
 from .core import ConfigurationError
 
 BlockerArm = Literal["a", "b"]
 
-
-class Outcome(enum.Enum):
-    """Where one photon ends up."""
-
-    D1 = "D1"
-    D2 = "D2"
-    ABSORBED = "Absorbed"
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """Photon amplitudes on the two rails plus absorbed probability."""
-
-    amp_a: complex
-    amp_b: complex
-    p_absorbed: float = 0.0
-
-    @property
-    def total_probability(self) -> float:
-        return abs(self.amp_a) ** 2 + abs(self.amp_b) ** 2 + self.p_absorbed
+# Where a photon can end up, in the order of DetectionProbs and of the
+# inverse-transform thresholds.
+OUTCOMES = ("D1", "D2", "Absorbed")
 
 
 @dataclass(frozen=True)
@@ -82,59 +67,30 @@ class DetectionProbs(NamedTuple):
     p_absorbed: float
 
 
-def beam_splitter(m: ModeState, transmissivity: float) -> ModeState:
-    """Mix the two rails unitarily; absorbed probability is untouched."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ConfigurationError(f"transmissivity must be in [0, 1], got {transmissivity}")
-    ct = math.sqrt(transmissivity)
-    cr = 1j * math.sqrt(1.0 - transmissivity)
-    return ModeState(
-        amp_a=ct * m.amp_a + cr * m.amp_b,
-        amp_b=cr * m.amp_a + ct * m.amp_b,
-        p_absorbed=m.p_absorbed,
-    )
-
-
-def apply_arm_phases(m: ModeState, phase_a: float, phase_b: float) -> ModeState:
-    """Propagation phases picked up in the two arms (fiber length in radians)."""
-    return ModeState(
-        amp_a=m.amp_a * cmath.exp(1j * phase_a),
-        amp_b=m.amp_b * cmath.exp(1j * phase_b),
-        p_absorbed=m.p_absorbed,
-    )
-
-
-def apply_blocker(m: ModeState, arm: BlockerArm) -> ModeState:
-    """Absorb whatever amplitude sits in the blocked arm."""
-    if arm == "a":
-        return ModeState(0.0j, m.amp_b, m.p_absorbed + abs(m.amp_a) ** 2)
-    if arm == "b":
-        return ModeState(m.amp_a, 0.0j, m.p_absorbed + abs(m.amp_b) ** 2)
-    raise ConfigurationError(f"blocker arm must be 'a' or 'b', got {arm!r}")
-
-
 def detection_probs(cfg: EVConfig) -> DetectionProbs:
     """Exact outcome probabilities (D1, D2, absorbed) for one photon."""
-    m = ModeState(amp_a=0.0j, amp_b=1.0 + 0.0j)  # source feeds rail b
-    m = beam_splitter(m, cfg.splitter1_transmissivity)
-    m = apply_arm_phases(m, cfg.phase_a, cfg.phase_b)
-    if cfg.blocker is not None:
-        m = apply_blocker(m, cfg.blocker)
-    m = beam_splitter(m, cfg.splitter2_transmissivity)
-    return DetectionProbs(
-        p_d1=abs(m.amp_a) ** 2,
-        p_d2=abs(m.amp_b) ** 2,
-        p_absorbed=m.p_absorbed,
-    )
+    # Splitter 1 on a photon in rail b, then the arm phases.
+    a = 1j * math.sqrt(1.0 - cfg.splitter1_transmissivity) * cmath.exp(1j * cfg.phase_a)
+    b = math.sqrt(cfg.splitter1_transmissivity) * cmath.exp(1j * cfg.phase_b)
+    p_absorbed = 0.0
+    if cfg.blocker == "a":
+        a, p_absorbed = 0j, abs(a) ** 2
+    elif cfg.blocker == "b":
+        b, p_absorbed = 0j, abs(b) ** 2
+    ct = math.sqrt(cfg.splitter2_transmissivity)
+    cr = 1j * math.sqrt(1.0 - cfg.splitter2_transmissivity)
+    return DetectionProbs(abs(ct * a + cr * b) ** 2, abs(cr * a + ct * b) ** 2, p_absorbed)
 
 
-def sample_photon(cfg: EVConfig, u: float) -> Outcome:
-    """Draw one photon fate by inverse transform in the order D1, D2, absorbed."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform variate must be in [0, 1), got {u}")
-    probs = detection_probs(cfg)
-    if u < probs.p_d1:
-        return Outcome.D1
-    if u < probs.p_d1 + probs.p_d2:
-        return Outcome.D2
-    return Outcome.ABSORBED
+def count_outcomes(probs: DetectionProbs, u: np.ndarray) -> tuple[int, int, int]:
+    """Photon counts (D1, D2, absorbed) for one uniform variate per photon.
+
+    Inverse transform in the order of OUTCOMES: u < p_d1 is a D1 click,
+    u < p_d1 + p_d2 a D2 click, and the rest is absorbed.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniform variates must lie in [0, 1)")
+    n_d1 = int(np.count_nonzero(u < probs.p_d1))
+    n_d2 = int(np.count_nonzero(u < probs.p_d1 + probs.p_d2)) - n_d1
+    return n_d1, n_d2, u.size - n_d1 - n_d2

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from nullshadow import cli
 from nullshadow.cli import build_parser, main
-from nullshadow.interferometer import EVConfig, Outcome, sample_photon
+from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from nullshadow.output import load_schema, read_csv_table
 from nullshadow.streams import uniforms_at
+from test_interferometer import reference_fate
 from test_output import reference_json
 
 LN2 = math.log(2.0)
@@ -308,22 +309,20 @@ class TestEv:
             assert abs(counts[tag] / 100000 - p) <= 3 * sigma
 
     def test_counts_match_per_shot_sampler(self, tmp_path):
-        # the vectorized CLI counting must agree with sample_photon
+        # the CLI counts must agree with the scalar inverse-transform rule,
+        # and count_outcomes must follow it shot by shot
         shots, seed = 200, 3
         out = tmp_path / "ev.json"
         assert run_cli(
             ["ev", "--blocker", "b", "--shots", str(shots), "--seed", str(seed), "--out", str(out)]
         ) == 0
         counts = json.loads(out.read_text())["summary"]["counts"]
-        cfg = EVConfig(blocker="b")
-        expected = {Outcome.D1: 0, Outcome.D2: 0, Outcome.ABSORBED: 0}
+        probs = detection_probs(EVConfig(blocker="b"))
+        fates = []
         for u in uniforms_at(seed, np.arange(shots), 0):
-            expected[sample_photon(cfg, float(u))] += 1
-        assert counts == {
-            "D1": expected[Outcome.D1],
-            "D2": expected[Outcome.D2],
-            "Absorbed": expected[Outcome.ABSORBED],
-        }
+            fates.append(reference_fate(probs, float(u)))
+            assert count_outcomes(probs, [u]) == tuple(int(tag == fates[-1]) for tag in OUTCOMES)
+        assert counts == {tag: fates.count(tag) for tag in OUTCOMES}
 
     def test_stdout_when_no_out(self, capsys):
         assert run_cli(["ev", "--blocker", "none"]) == 0
@@ -391,6 +390,20 @@ class TestMasterCheck:
         )
         assert code == 3
         assert json.loads(out.read_text())["summary"]["passed"] is False
+
+    def test_jumps_up_to_the_last_recorded_time_count(self, tmp_path):
+        # 0.16 / 0.1 rounds to 2 steps, so the oracle records t = 0.2, past
+        # the horizon; jumps in (0.16, 0.2] must count in the average too.
+        out = tmp_path / "check.json"
+        code = run_cli(
+            ["master-check", "--p-excited", "0.5", "--n-traj", "1000000", "--horizon", "0.16",
+             "--dt", "0.1", "--grid", "2", "--out", str(out)]
+        )
+        record = json.loads(out.read_text())
+        assert record["config"]["horizon"] == 0.16
+        assert record["rows"][-1][0] == pytest.approx(0.2, abs=1e-15)
+        assert code == 0
+        assert record["summary"]["max_deviation"] <= 0.002
 
     def test_single_trajectory_with_loose_tolerance(self):
         assert run_cli(
