@@ -1,7 +1,7 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .core import (
     EXCITED,

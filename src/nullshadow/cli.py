@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -307,9 +306,7 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
         record_every=max(1, n_steps // (args.grid - 1)),
     )
     series = integrate_master(density_from_state(initial), params, mcfg)
-    # The oracle's last time n_steps * dt may round past the horizon; every
-    # jump up to it must count.
-    jump_times = run_trajectories(replace(ecfg, horizon=series.times[-1]))
+    jump_times = run_trajectories(ecfg)
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
     deviation = max_elementwise_deviation(averaged, series)
 

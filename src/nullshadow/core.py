@@ -79,6 +79,8 @@ class AtomParams:
             )
         if self.gamma < 0.0:
             raise ConfigurationError(f"decay rate must be nonnegative, got {self.gamma}")
+        if not math.isfinite(self.omega):
+            raise ConfigurationError(f"transition frequency e1 - e0 must be finite, got {self.omega}")
 
     @property
     def omega(self) -> float:

@@ -60,6 +60,7 @@ def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -
     population falls monotonically to 0 whenever p0 > 0.  A pure excited
     state (p0 == 0) stays excited, since only an actual jump can change
     it; that case is returned directly, so S never underflows to 0/0.
+    ``rho01`` is NaN where omega * t overflows.
     """
     times = np.asarray(times, dtype=float)
     if times.size and not times.min() >= 0.0:
@@ -69,10 +70,12 @@ def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -
         zeros = np.zeros(times.shape)
         return DensitySeries(times, zeros, np.ones(times.shape), zeros.astype(complex))
     # Updated in place, so little is allocated beyond the three results.
-    rho11 = np.exp(-params.gamma * times)
+    # An overflowing exponent gives e^(-inf) = 0, the exact limit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho11 = np.exp(-params.gamma * times)
+        rho01 = np.exp((1j * params.omega - 0.5 * params.gamma) * times)
     rho11 *= p1
     survival = rho11 + p0
-    rho01 = np.exp((1j * params.omega - 0.5 * params.gamma) * times)
     rho01 *= initial.a0 * initial.a1.conjugate()
     rho01 /= survival
     rho11 /= survival

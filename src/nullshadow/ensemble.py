@@ -14,7 +14,8 @@ coherent conditioned state; exposing both variants side by side is the
 point of the module.
 
 An atom's whole history is its first-emission time, so the ensemble is
-one array of jump times (``inf`` for atoms silent up to the horizon).
+one array of jump times (``inf`` for atoms that never emit).  The horizon
+only bounds the grid on which jumps are counted.
 
 Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
@@ -90,7 +91,7 @@ def expected_blackened(n: int, p1: float, gamma: float, t: float) -> float:
 
 
 def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = None) -> np.ndarray:
-    """Jump time of every atom, indexed by atom; ``inf`` past the horizon.
+    """Jump time of every atom, indexed by atom; ``inf`` if it never emits.
 
     Atom i uses draw slot SLOT_PREMEASURE for the optional initial
     collapse and SLOT_JUMP for its emission time, so the premeasure
@@ -100,9 +101,7 @@ def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = N
     if weights is None:
         weights = _excited_weights(cfg)
     u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_JUMP)
-    times = sample_jump_times(weights, cfg.params.gamma, u)
-    times[times > cfg.horizon] = np.inf
-    return times
+    return sample_jump_times(weights, cfg.params.gamma, u)
 
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:

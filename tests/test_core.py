@@ -199,6 +199,10 @@ class TestAtomParams:
         with pytest.raises(ConfigurationError):
             AtomParams(e0=e0, e1=e1, gamma=gamma)
 
+    def test_overflowing_gap_rejected(self):
+        with pytest.raises(ConfigurationError, match="e1 - e0 must be finite"):
+            AtomParams(e0=-1e308, e1=1e308, gamma=1.0)
+
     def test_degenerate_gap_allowed(self):
         assert AtomParams(0.0, 0.0, 1.0).omega == 0.0
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullshadow import __version__
 from nullshadow.output import OutputRecord, load_schema, read_csv_table, render, write_record
 
 
@@ -27,7 +28,7 @@ def reference_json(record):
     """The JSON format, byte for byte: json.dumps of the plain record at indent 2."""
     data = {
         "scenario": record.scenario,
-        "version": record.version,
+        "version": __version__,
         "seed": record.seed,
         "config": plain(record.config),
         "summary": plain(record.summary),
