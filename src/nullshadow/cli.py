@@ -217,7 +217,7 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
     series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
     # The fidelity with |g> of the pure conditioned state is its rho00.
-    rows = np.column_stack([series.times, series.rho11, series.rho00]).tolist()
+    rows = np.column_stack([series.times, series.rho11, series.rho00])
     return OutputRecord(
         scenario="conditional-state",
         seed=None,
@@ -228,8 +228,8 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
             "grid": args.grid,
         },
         summary={
-            "final_excited_prob": rows[-1][1],
-            "final_fidelity_with_ground": rows[-1][2],
+            "final_excited_prob": float(rows[-1, 1]),
+            "final_fidelity_with_ground": float(rows[-1, 2]),
         },
         columns=COLUMNS["conditional-state"],
         rows=rows,
@@ -299,12 +299,7 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
         grid_points=2,
         base_seed=args.seed,
     )
-    n_steps = MasterRunConfig(dt=args.dt, t_max=args.horizon).n_steps
-    mcfg = MasterRunConfig(
-        dt=args.dt,
-        t_max=args.horizon,
-        record_every=max(1, n_steps // (args.grid - 1)),
-    )
+    mcfg = MasterRunConfig.with_points(dt=args.dt, t_max=args.horizon, points=args.grid)
     series = integrate_master(density_from_state(initial), params, mcfg)
     jump_times = run_trajectories(ecfg)
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
@@ -320,7 +315,7 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
             averaged.rho00, averaged.rho11, averaged.rho01.real, averaged.rho01.imag,
             analytic,
         ]
-    ).tolist()
+    )
     return OutputRecord(
         scenario="master-check",
         seed=args.seed,

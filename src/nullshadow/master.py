@@ -44,6 +44,17 @@ class MasterRunConfig:
         if self.record_every < 1:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
 
+    @classmethod
+    def with_points(cls, dt: float, t_max: float, points: int) -> MasterRunConfig:
+        """A window recording about ``points`` >= 2 times, the last step included.
+
+        The stride, n_steps // (points - 1) but at least 1, follows from
+        the checked step count, so it is set on the one checked instance.
+        """
+        cfg = cls(dt=dt, t_max=t_max)
+        object.__setattr__(cfg, "record_every", max(1, cfg.n_steps // (points - 1)))
+        return cfg
+
     @property
     def n_steps(self) -> int:
         """Number of fixed steps, t_max / dt rounded to the nearest integer."""

@@ -11,6 +11,11 @@ Two formats, both byte-deterministic for a given record:
 Floats are written with Python repr semantics (shortest decimal that
 round-trips), so parsing a file back reproduces every value exactly.
 NaN is mapped to null / an empty cell to keep the JSON standard.
+
+A numeric table may be a 2-D numpy array; it stays one until it is
+encoded, a few thousand rows at a time.  The record text is built by one
+join of its pieces and written in slices, so rendering and writing peak
+at about two copies of the text.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
 from . import __version__
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_RESOURCE = "output_record.schema.json"
 
@@ -36,16 +44,26 @@ class OutputRecord:
     config: dict[str, Any]
     summary: dict[str, Any]
     columns: list[str]
-    rows: list[list[Any]]
+    rows: list[list[Any]] | np.ndarray  # an array table is 2-D
 
 
 # With no indent the C encoder runs; this item separator puts every cell
 # on its own line at the depth indent=2 gives a cell of a row.  JSON
 # escapes newlines inside strings, so with scalar cells (the schema's
-# rule) "]" + separator + "[" occurs only between two rows.
+# rule) "]" + separator + "[" occurs only between two rows, and a row
+# laid out with nothing between its brackets is an empty row.
 _CELL_SEP = ",\n      "
 _ROW_BOUNDARY = "]" + _CELL_SEP + "["
 _ROWS_ENCODER = json.JSONEncoder(separators=(_CELL_SEP, ": "), allow_nan=False)
+_ROW_START, _ROW_END, _ROW_SEP = "[\n      ", "\n    ]", ",\n    "
+_ROW_JOIN = _ROW_END + _ROW_SEP + _ROW_START
+_EMPTY_ROW = _ROW_START + _ROW_END
+
+# Rows per encoder call: a chunk's Python lists and text are the only
+# per-row copies besides the pieces of the record itself.
+_CHUNK_ROWS = 4096
+# Characters per write call, so encoding to UTF-8 copies one slice at a time.
+_WRITE_CHARS = 1 << 20
 
 
 def render(record: OutputRecord, fmt: str) -> str:
@@ -59,13 +77,13 @@ def render(record: OutputRecord, fmt: str) -> str:
             "columns": list(record.columns),
         }
         text = json.dumps(head, indent=2, allow_nan=False)
-        return text[: -len("\n}")] + ',\n  "rows": ' + _rows_json(record.rows) + "\n}\n"
+        return "".join([text[: -len("\n}")], ',\n  "rows": ', *_rows_json(record.rows), "\n}\n"])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(record.columns)
-        for row in record.rows:
-            writer.writerow([_cell(v) for v in row])
+        for chunk in _chunks(record.rows):
+            writer.writerows([_cell(v) for v in row] for row in chunk)
         return buf.getvalue()
     raise ValueError(f"unknown output format {fmt!r}")
 
@@ -74,10 +92,15 @@ def write_record(record: OutputRecord, path: str | None, fmt: str) -> None:
     """Write to a file, or to stdout when no path is given."""
     text = render(record, fmt)
     if path is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
+
+
+def _write_slices(fh: TextIO, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHARS):
+        fh.write(text[start : start + _WRITE_CHARS])
 
 
 def read_csv_table(path: str) -> tuple[list[str], list[list[Any]]]:
@@ -95,8 +118,27 @@ def load_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
-def _rows_json(rows: list[list[Any]]) -> str:
-    """The table as json.dumps(indent=2) lays it out inside the record."""
+def _chunks(rows: list[list[Any]] | np.ndarray) -> Iterator[list[list[Any]]]:
+    """The table in runs of _CHUNK_ROWS rows, an array's as Python lists."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        yield chunk.tolist() if hasattr(chunk, "tolist") else chunk
+
+
+def _rows_json(rows: list[list[Any]] | np.ndarray) -> list[str]:
+    """Pieces of the table as json.dumps(indent=2) lays it out inside the record."""
+    pieces = []
+    for chunk in _chunks(rows):
+        pieces += [_ROW_SEP, _chunk_json(chunk)]
+    if not pieces:
+        return ["[]"]
+    pieces[0] = "[\n    "
+    pieces.append("\n  ]")
+    return pieces
+
+
+def _chunk_json(rows: list[list[Any]]) -> str:
+    """The rows of one chunk, each laid out as in the record, comma-separated."""
     try:
         text = _ROWS_ENCODER.encode(rows)
     except (ValueError, TypeError):  # a NaN or numpy cell
@@ -109,11 +151,8 @@ def _rows_json(rows: list[list[Any]]) -> str:
             if bad is None:
                 raise
             raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
-    if text == "[]":
-        return text
-    return "[\n    " + ",\n    ".join(
-        "[\n      " + row + "\n    ]" if row else "[]" for row in text[2:-2].split(_ROW_BOUNDARY)
-    ) + "\n  ]"
+    laid_out = f"{_ROW_START}{text[2:-2].replace(_ROW_BOUNDARY, _ROW_JOIN)}{_ROW_END}"
+    return laid_out.replace(_EMPTY_ROW, "[]")
 
 
 def _plain(value: Any) -> Any:

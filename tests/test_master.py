@@ -232,6 +232,17 @@ class TestIntegrateMaster:
             with pytest.raises(ConfigurationError):
                 MasterRunConfig(dt=dt, t_max=t_max)
 
+    def test_with_points_sets_the_stride_of_a_checked_window(self):
+        for dt, t_max, points, stride in ((0.01, 1.0, 50, 2), (0.0002, 10.0, 50, 1020), (0.01, 1.0, 1000, 1)):
+            cfg = MasterRunConfig.with_points(dt=dt, t_max=t_max, points=points)
+            assert cfg == MasterRunConfig(dt=dt, t_max=t_max, record_every=stride)
+        for dt, t_max in ((0.0, 1.0), (0.1, 0.05), (math.nan, 1.0), (1e-300, 1e300)):
+            with pytest.raises(ConfigurationError) as exc:
+                MasterRunConfig.with_points(dt=dt, t_max=t_max, points=50)
+            with pytest.raises(ConfigurationError) as direct:
+                MasterRunConfig(dt=dt, t_max=t_max)
+            assert str(exc.value) == str(direct.value)
+
 
 class TestAverageTrajectories:
     def test_single_trajectory_is_its_own_average(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullshadow import __version__
-from nullshadow.output import OutputRecord, load_schema, read_csv_table, render, write_record
+from nullshadow import __version__, cli, output
+from nullshadow.output import _CHUNK_ROWS, OutputRecord, load_schema, read_csv_table, render, write_record
 
 
 def plain(value):
@@ -200,3 +201,101 @@ def test_float_cells_use_repr_precision():
     )
     line = render(rec, "csv").splitlines()[1]
     assert float(line) == value
+
+
+def table_record(rows):
+    return OutputRecord(
+        scenario="conditional-state", seed=None, config={}, summary={}, columns=["t", "p", "q"], rows=rows
+    )
+
+
+def float_table(n_rows):
+    t = np.linspace(0.0, 10.0, n_rows)
+    return np.column_stack([t, np.exp(-t) / 3.0, 1.0 - np.exp(-t) / 3.0])
+
+
+C = _CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+def test_array_and_list_tables_render_as_indented_dumps(n_rows):
+    table = float_table(n_rows)
+    expected = reference_json(table_record(table.tolist()))
+    assert render(table_record(table.tolist()), "json") == expected
+    assert render(table_record(table), "json") == expected
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[], []],
+        np.empty((2, 0)),
+        [[] for _ in range(C + 1)],
+        [[i] if i % 3 else [] for i in range(2 * C + 1)],
+        [[] if i in (C - 1, C) else [float(i), "x"] for i in range(C + 2)],
+    ],
+    ids=["two", "array", "chunk-plus-one", "every-third", "across-the-boundary"],
+)
+def test_empty_rows_render_as_indented_dumps(rows):
+    rec = table_record(rows)
+    assert render(rec, "json") == reference_json(rec)
+
+
+def test_nan_in_the_last_chunk_becomes_null():
+    table = float_table(2 * C + 1)
+    table[-1, 1] = math.nan
+    rec = table_record(table)
+    text = render(rec, "json")
+    assert text == reference_json(rec)
+    assert json.loads(text)["rows"][-1] == [10.0, None, table[-1, 2]]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_cell_in_a_later_chunk_names_its_value(bad):
+    table = float_table(2 * C + 1)
+    table[C + 5, 2] = bad
+    for rows in (table, table.tolist()):
+        with pytest.raises(ValueError) as exc:
+            render(table_record(rows), "json")
+        assert str(exc.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+
+def test_infinite_cell_in_a_later_chunk_exits_2(monkeypatch, capsys):
+    table = float_table(2 * C + 1)
+    table[-1, 1] = math.inf
+    monkeypatch.setattr(cli, "cmd_conditional_state", lambda args: table_record(table))
+    assert cli.main(["conditional-state", "--p-excited", "0.5", "--horizon", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nullshadow: error: Out of range float values are not JSON compliant: inf\n"
+
+
+def test_csv_of_an_array_table_is_that_of_its_lists():
+    table = float_table(2 * C + 1)
+    table[C, 1] = math.nan
+    text = render(table_record(table), "csv")
+    assert text == render(table_record(table.tolist()), "csv")
+    assert text.count("\n") == 2 * C + 2
+    assert text.splitlines()[C + 1] == f"{float(table[C, 0])!r},,{float(table[C, 2])!r}"
+
+
+def test_written_slices_join_to_the_render(monkeypatch, tmp_path, capsys):
+    rec = table_record([["\u00e9\u00e9", 1 / 3, None]] * 9)
+    text = render(rec, "json")
+    monkeypatch.setattr(output, "_WRITE_CHARS", 7)
+    path = tmp_path / "rec.json"
+    write_record(rec, str(path), "json")
+    write_record(rec, None, "json")
+    assert path.read_bytes() == text.encode("utf-8")
+    assert capsys.readouterr().out == text
+
+
+def test_render_of_an_array_table_peaks_near_two_copies_of_the_text():
+    rec = table_record(float_table(100_001))
+    tracemalloc.start()
+    try:
+        text = render(rec, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), peak / len(text)
