@@ -1,11 +1,9 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .core import (
-    EXCITED,
-    GROUND,
     AtomParams,
     ConfigurationError,
     DensityMatrix2,
@@ -20,7 +18,6 @@ from .dynamics import (
 from .ensemble import (
     EnsembleConfig,
     EnsembleStats,
-    expected_blackened,
     run_ensemble,
     run_trajectories,
     trajectory_state_series,
@@ -35,14 +32,11 @@ from .master import (
     MasterRunConfig,
     average_trajectories,
     integrate_master,
-    lindblad_rhs,
     max_elementwise_deviation,
 )
 
 __all__ = [
     "__version__",
-    "EXCITED",
-    "GROUND",
     "AtomParams",
     "ConfigurationError",
     "DensityMatrix2",
@@ -53,7 +47,6 @@ __all__ = [
     "sample_jump_times",
     "EnsembleConfig",
     "EnsembleStats",
-    "expected_blackened",
     "run_ensemble",
     "run_trajectories",
     "trajectory_state_series",
@@ -64,6 +57,5 @@ __all__ = [
     "MasterRunConfig",
     "average_trajectories",
     "integrate_master",
-    "lindblad_rhs",
     "max_elementwise_deviation",
 ]

@@ -34,10 +34,6 @@ class QubitState:
     a1: complex
 
     @property
-    def ground_population(self) -> float:
-        return abs(self.a0) ** 2
-
-    @property
     def excited_population(self) -> float:
         return abs(self.a1) ** 2
 
@@ -51,10 +47,6 @@ class QubitState:
         if not 0.0 <= p1 <= 1.0:
             raise ValueError(f"excited probability must be in [0, 1], got {p1}")
         return cls(complex(math.sqrt(1.0 - p1)), complex(math.sqrt(p1)))
-
-
-GROUND = QubitState(1.0 + 0.0j, 0.0j)
-EXCITED = QubitState(0.0j, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -87,11 +79,6 @@ class AtomParams:
         """Transition angular frequency e1 - e0."""
         return self.e1 - self.e0
 
-    @property
-    def lifetime(self) -> float:
-        """Mean lifetime 1/gamma (inf for a non-decaying atom)."""
-        return math.inf if self.gamma == 0.0 else 1.0 / self.gamma
-
 
 @dataclass(frozen=True)
 class DensityMatrix2:
@@ -100,31 +87,12 @@ class DensityMatrix2:
     ``rho01`` is the ground-row, excited-column element; the mirror
     element is its conjugate by Hermiticity.  The same container is also
     used for time derivatives (which are traceless, not states), so no
-    invariant is enforced at construction; use :meth:`validate` on values
-    meant to be states.
+    invariant is enforced at construction.
     """
 
     rho00: float
     rho11: float
     rho01: complex
-
-    @property
-    def trace(self) -> float:
-        return self.rho00 + self.rho11
-
-    @property
-    def purity(self) -> float:
-        """trace(rho^2) = rho00^2 + rho11^2 + 2 |rho01|^2."""
-        return self.rho00**2 + self.rho11**2 + 2.0 * abs(self.rho01) ** 2
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check trace one, nonnegative populations, and positivity."""
-        if abs(self.trace - 1.0) > atol:
-            raise ValueError(f"trace {self.trace} differs from 1 beyond {atol}")
-        if self.rho00 < -1e-12 or self.rho11 < -1e-12:
-            raise ValueError(f"negative population: rho00={self.rho00}, rho11={self.rho11}")
-        if abs(self.rho01) ** 2 > self.rho00 * self.rho11 + atol:
-            raise ValueError("coherence exceeds positivity bound")
 
 
 def normalize(state: QubitState) -> QubitState:

@@ -19,8 +19,7 @@ only bounds the grid on which jumps are counted.
 
 Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
-bit-identical for a given seed.  The ``NULLSHADOW_THREADS`` environment
-variable is not read.
+bit-identical for a given seed.
 
 The shared survivor state is :func:`nullshadow.dynamics.no_jump_series`,
 evaluated once over the whole time grid.
@@ -29,7 +28,7 @@ evaluated once over the whole time grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .streams import uniforms_at
 # Fixed draw-slot layout of each atom's substream.
 SLOT_PREMEASURE = 0
 SLOT_JUMP = 1
-SLOT_MEASURE_BASE = 2  # slot 2 + g measures the survivor at grid index g
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class EnsembleConfig:
     grid_points: int
     base_seed: int
     premeasure: bool = False
-    measure_survivors: bool = False
 
     def __post_init__(self) -> None:
         if self.n_atoms < 1:
@@ -76,18 +73,6 @@ class EnsembleStats:
     blackened_count: np.ndarray
     survivor_excited_prob: np.ndarray
     fraction_blackened_final: float
-    measured_excited_fraction: np.ndarray | None = field(default=None)
-
-
-def expected_blackened(n: int, p1: float, gamma: float, t: float) -> float:
-    """Mean number of cells blackened by time t: n * p1 * (1 - e^(-gamma t))."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"excited probability must be in [0, 1], got {p1}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return n * p1 * -math.expm1(-gamma * t)
 
 
 def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = None) -> np.ndarray:
@@ -125,16 +110,11 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
         # All survivors share one conditioned state.
         survivor_excited = no_jump_series(cfg.initial, cfg.params, grid).rho11
 
-    measured = None
-    if cfg.measure_survivors:
-        measured = _measure_survivors(cfg, weights, jump_times, grid, survivor_excited)
-
     return EnsembleStats(
         grid=grid,
         blackened_count=blackened,
         survivor_excited_prob=survivor_excited,
         fraction_blackened_final=float(blackened[-1]) / cfg.n_atoms,
-        measured_excited_fraction=measured,
     )
 
 
@@ -163,31 +143,3 @@ def _excited_weights(cfg: EnsembleConfig) -> float | np.ndarray:
         return p1
     u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE)
     return (u < p1).astype(float)
-
-
-def _measure_survivors(
-    cfg: EnsembleConfig,
-    weights: float | np.ndarray,
-    jump_times: np.ndarray,
-    grid: np.ndarray,
-    survivor_excited: np.ndarray,
-) -> np.ndarray:
-    """Counterfactual projective measurement of each survivor per grid time.
-
-    Draws are independent across grid points (slot 2 + g), so this is a
-    diagnostic binomial estimate around the survivor excited population,
-    not a back-acting measurement sequence.  Premeasured survivors are
-    excited with their own weight, the others with ``survivor_excited[g]``.
-    """
-    indices = np.arange(cfg.n_atoms)
-    out = np.empty(len(grid))
-    for g, t in enumerate(grid):
-        alive = jump_times > t
-        n_alive = int(alive.sum())
-        if n_alive == 0:
-            out[g] = np.nan
-            continue
-        u = uniforms_at(cfg.base_seed, indices[alive], SLOT_MEASURE_BASE + g)
-        p = weights[alive] if cfg.premeasure else survivor_excited[g]
-        out[g] = int((u < p).sum()) / n_alive
-    return out

@@ -71,23 +71,14 @@ class DensitySeries:
     rho01: np.ndarray
 
 
-def lindblad_rhs(rho: DensityMatrix2, params: AtomParams) -> DensityMatrix2:
-    """Time derivative of the density matrix (traceless by construction)."""
-    flow = params.gamma * rho.rho11
-    return DensityMatrix2(
-        rho00=+flow,
-        rho11=-flow,
-        rho01=(1j * params.omega - 0.5 * params.gamma) * rho.rho01,
-    )
-
-
 def _step_rk4(
     rho00: float, rho11: float, rho01: complex, gamma: float, rate: complex, dt: float
 ) -> tuple[float, float, complex]:
-    """One classical RK4 step of ``lindblad_rhs`` on plain numbers; rate = i*omega - gamma/2.
+    """One RK4 step, on plain numbers, of the generator in the module docstring; rate = i*omega - gamma/2.
 
-    The IEEE operations and their order are those of four ``lindblad_rhs``
-    calls: adding the rho11 derivative -flow rounds as subtracting flow.
+    The IEEE operations and their order are those of four calls of that
+    generator as ``tests/reference.py`` writes it (``lindblad_rhs``):
+    adding the rho11 derivative -flow rounds as subtracting flow.
     """
     half = 0.5 * dt
     f1 = gamma * rho11

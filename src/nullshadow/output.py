@@ -103,15 +103,6 @@ def _write_slices(fh: TextIO, text: str) -> None:
         fh.write(text[start : start + _WRITE_CHARS])
 
 
-def read_csv_table(path: str) -> tuple[list[str], list[list[Any]]]:
-    """Parse a CSV written by :func:`write_record` back into typed cells."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[_parse_cell(v) for v in row] for row in reader]
-    return header, rows
-
-
 def load_schema() -> dict[str, Any]:
     """The JSON schema that every JSON record must satisfy."""
     text = resources.files("nullshadow.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8")
@@ -177,18 +168,3 @@ def _cell(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _parse_cell(text: str) -> Any:
-    if text == "":
-        return None
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text

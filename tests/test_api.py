@@ -1,0 +1,84 @@
+import contextlib
+import dataclasses
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import nullshadow
+from nullshadow.core import AtomParams, DensityMatrix2, QubitState
+from nullshadow.ensemble import EnsembleConfig, EnsembleStats
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = [
+    "__version__",
+    "AtomParams",
+    "ConfigurationError",
+    "DensityMatrix2",
+    "QubitState",
+    "density_from_state",
+    "normalize",
+    "no_jump_series",
+    "sample_jump_times",
+    "EnsembleConfig",
+    "EnsembleStats",
+    "run_ensemble",
+    "run_trajectories",
+    "trajectory_state_series",
+    "EVConfig",
+    "count_outcomes",
+    "detection_probs",
+    "DensitySeries",
+    "MasterRunConfig",
+    "average_trajectories",
+    "integrate_master",
+    "max_elementwise_deviation",
+]
+
+# Names that left the package in 0.7.0; the tests' copies are in reference.py.
+REMOVED = {
+    "nullshadow": ["GROUND", "EXCITED", "expected_blackened", "lindblad_rhs"],
+    "nullshadow.core": ["GROUND", "EXCITED"],
+    "nullshadow.ensemble": ["expected_blackened", "SLOT_MEASURE_BASE", "_measure_survivors", "field"],
+    "nullshadow.master": ["lindblad_rhs"],
+    "nullshadow.output": ["read_csv_table", "_parse_cell"],
+}
+
+
+def test_public_names_are_the_kept_ones_and_resolve():
+    assert nullshadow.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(nullshadow, name) is not None
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_do_not_import(module):
+    for name in REMOVED[module]:
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+
+def test_removed_members_are_gone():
+    assert not hasattr(AtomParams, "lifetime")
+    assert not hasattr(QubitState, "ground_population")
+    for member in ("trace", "purity", "validate"):
+        assert not hasattr(DensityMatrix2, member)
+    assert [f.name for f in dataclasses.fields(EnsembleConfig)] == [
+        "n_atoms", "initial", "params", "horizon", "grid_points", "base_seed", "premeasure"
+    ]
+    assert "measured_excited_fraction" not in {f.name for f in dataclasses.fields(EnsembleStats)}
+
+
+def test_readme_library_block_prints_what_its_comments_say():
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == 4
+    assert printed[3] == "(252, 244, 504)"
+    # the two exact lines are the comments beside their print calls
+    for line in printed[2:]:
+        assert f"# {line}" in block

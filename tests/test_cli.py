@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from nullshadow import cli
 from nullshadow.cli import build_parser, main
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
-from nullshadow.output import load_schema, read_csv_table
+from nullshadow.output import load_schema
 from nullshadow.streams import uniforms_at
+from reference import read_csv_table
 from test_interferometer import reference_fate
 from test_output import reference_json
 

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from nullshadow.core import (
-    EXCITED,
-    GROUND,
     AtomParams,
     DensityMatrix2,
     QubitState,
@@ -17,6 +15,7 @@ from nullshadow.dynamics import no_jump_series, sample_jump_times
 from nullshadow.ensemble import EnsembleConfig
 from nullshadow.master import MasterRunConfig, integrate_master
 from nullshadow.streams import uniforms_at
+from reference import EXCITED, GROUND, reference_no_jump
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
@@ -33,13 +32,6 @@ def brute_force_no_jump(state, params, t, dt=1e-4):
     return normalize(QubitState(b0, b1))
 
 
-def reference_no_jump(state, params, t):
-    """Scalar reference: free phases, damping e^(-gamma t / 2), then normalize."""
-    a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
-    a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
-    return normalize(QubitState(a0, a1))
-
-
 def conditioned(state, params, t):
     """The no-click conditioned projector at one time."""
     s = no_jump_series(state, params, np.array([t]))
@@ -54,7 +46,7 @@ def state_of(rho):
 
 def survival(state, params, t):
     """S(t) = p0 / rho00(t): the silent fraction read off the conditioned state."""
-    return state.ground_population / conditioned(state, params, t).rho00
+    return abs(state.a0) ** 2 / conditioned(state, params, t).rho00
 
 
 def max_entry_distance(a, b):
@@ -178,7 +170,7 @@ class TestNoJumpSurvival:
         state = QubitState.from_excited_probability(0.7)
         params = AtomParams(e0=0.0, e1=1.0, gamma=1.3)
         ts = np.linspace(0.0, 10.0, 200)
-        vals = state.ground_population / no_jump_series(state, params, ts).rho00
+        vals = abs(state.a0) ** 2 / no_jump_series(state, params, ts).rho00
         assert vals[0] == pytest.approx(1.0, abs=1e-15)
         assert np.all(vals[1:] <= vals[:-1] + 1e-15)
 

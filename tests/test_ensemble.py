@@ -1,40 +1,29 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from nullshadow.core import (
-    EXCITED,
-    GROUND,
     AtomParams,
     ConfigurationError,
     QubitState,
     density_from_state,
-    normalize,
 )
 from nullshadow.dynamics import no_jump_series, sample_jump_times
 from nullshadow.ensemble import (
     SLOT_JUMP,
     SLOT_PREMEASURE,
     EnsembleConfig,
-    expected_blackened,
     run_ensemble,
     run_trajectories,
     trajectory_state_series,
 )
 from nullshadow.streams import uniform_at, uniforms_at
+from reference import EXCITED, GROUND, expected_blackened, reference_no_jump
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
 LN2 = math.log(2.0)
-
-
-def reference_no_jump(state, params, t):
-    """Scalar reference: free phases, damping e^(-gamma t / 2), then normalize."""
-    a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
-    a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
-    return normalize(QubitState(a0, a1))
 
 
 def reference_excited(t):
@@ -66,7 +55,7 @@ class TestExpectedBlackened:
         # 1000 * 0.5 * (1 - e^-1), cross-checked against the survival law
         # S = p0 / rho00 read off the conditioned state
         value = expected_blackened(1000, 0.5, 1.0, 1.0)
-        survival = HALF.ground_population / no_jump_series(HALF, PARAMS, np.array([1.0])).rho00[0]
+        survival = abs(HALF.a0) ** 2 / no_jump_series(HALF, PARAMS, np.array([1.0])).rho00[0]
         assert value == pytest.approx(316.06, abs=0.005)
         assert value == pytest.approx(1000 * (1 - survival), abs=1e-9)
 
@@ -228,32 +217,6 @@ class TestPremeasure:
         stats = run_ensemble(cfg)
         assert stats.blackened_count[-1] == 200
         assert math.isnan(stats.survivor_excited_prob[-1])
-
-
-class TestMeasureSurvivors:
-    def test_binomial_estimate_around_conditioned_population(self):
-        cfg = make_cfg(n_atoms=20_000, horizon=2.0, grid_points=5, measure_survivors=True)
-        stats = run_ensemble(cfg)
-        assert stats.measured_excited_fraction is not None
-        for t, measured, count in zip(
-            stats.grid, stats.measured_excited_fraction, stats.blackened_count
-        ):
-            survivors = cfg.n_atoms - count
-            p = reference_excited(float(t))
-            sigma = math.sqrt(max(p * (1 - p), 1e-4) / survivors)
-            assert abs(measured - p) <= 4.0 * sigma
-
-    def test_premeasured_mixture_measures_exactly(self):
-        cfg = make_cfg(
-            n_atoms=5000, horizon=1.5, grid_points=4, premeasure=True, measure_survivors=True
-        )
-        stats = run_ensemble(cfg)
-        assert np.array_equal(
-            stats.measured_excited_fraction, stats.survivor_excited_prob, equal_nan=True
-        )
-
-    def test_absent_without_flag(self):
-        assert run_ensemble(make_cfg()).measured_excited_fraction is None
 
 
 class TestTrajectoryStateSeries:

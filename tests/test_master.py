@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from nullshadow.core import (
-    EXCITED,
     AtomParams,
     ConfigurationError,
     DensityMatrix2,
     QubitState,
     density_from_state,
-    normalize,
 )
 from nullshadow.dynamics import no_jump_series
 from nullshadow.ensemble import EnsembleConfig, run_trajectories, trajectory_state_series
@@ -21,20 +19,13 @@ from nullshadow.master import (
     _step_rk4,
     average_trajectories,
     integrate_master,
-    lindblad_rhs,
     max_elementwise_deviation,
 )
+from reference import EXCITED, check_state, lindblad_rhs, reference_no_jump
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
 LN2 = math.log(2.0)
-
-
-def reference_no_jump(state, params, t):
-    """Scalar reference: free phases, damping e^(-gamma t / 2), then normalize."""
-    a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
-    a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
-    return normalize(QubitState(a0, a1))
 
 
 def reference_step_rk4(rho, params, dt):
@@ -205,8 +196,7 @@ class TestIntegrateMaster:
         series = integrate_master(density_from_state(HALF), PARAMS, cfg)
         for k in range(len(series.times)):
             m = matrix_at(series, k)
-            assert abs(m.trace - 1.0) < 1e-10
-            m.validate(atol=1e-8)
+            check_state(m, atol=1e-10)
 
     def test_series_arrays(self):
         cfg = MasterRunConfig(dt=0.01, t_max=0.1, record_every=1)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullshadow import __version__, cli, output
-from nullshadow.output import _CHUNK_ROWS, OutputRecord, load_schema, read_csv_table, render, write_record
+from nullshadow.output import _CHUNK_ROWS, OutputRecord, load_schema, render, write_record
+from reference import read_csv_table
 
 
 def plain(value):

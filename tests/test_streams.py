@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
-from nullshadow.streams import draw_u64, mix64, uniform_at, uniforms_at
+from nullshadow.streams import GOLDEN, MASK64, draw_u64, mix64, uniform_at, uniforms_at
 
 
 def test_mix64_is_deterministic_and_bounded():
     assert mix64(0) == mix64(0)
     assert 0 <= mix64(123456789) < 2**64
     assert mix64(2**64 + 5) == mix64(5)  # masked to 64 bits
+
+
+def test_known_answers():
+    # The first two outputs of the reference splitmix64 seeded with 0
+    # (Steele, Lea & Flood, OOPSLA 2014): its state advances by GOLDEN and
+    # each output is mix64 of the state, so a wrong constant shows here.
+    assert mix64(GOLDEN) == 0xE220A8397B1DCDAF
+    assert mix64(2 * GOLDEN & MASK64) == 0x6E789E6AA1B965F4
+    # the first variate of seed 0, by both paths
+    assert uniform_at(0, 0, 0) == uniforms_at(0, np.arange(1), 0)[0] == 0.6524484863740322
 
 
 def test_scalar_and_vector_paths_agree():
