@@ -42,6 +42,14 @@ COLUMNS = {
     "master-check": ["t", "rho00_master", "rho11_master", "re_rho01_master", "im_rho01_master",
                      "rho00_traj", "rho11_traj", "re_rho01_traj", "im_rho01_traj", "rho11_analytic"],
 }
+# Arguments each record echoes in its config, in record order.
+CONFIG = {
+    "decay-ensemble": ["n_atoms", "a0", "a1", "p_excited", "gamma", "e0", "e1", "horizon", "grid",
+                       "premeasure"],
+    "conditional-state": ["p_excited", "gamma", "horizon", "grid"],
+    "ev": ["blocker", "t1", "t2", "phase_a", "phase_b", "shots"],
+    "master-check": ["p_excited", "gamma", "e0", "e1", "n_traj", "horizon", "dt", "grid", "tol"],
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,6 +170,19 @@ def _initial_state(args: argparse.Namespace) -> QubitState:
     return normalize(QubitState(a0, a1))
 
 
+def _record(args: argparse.Namespace, summary: dict, rows, columns=None, **derived) -> OutputRecord:
+    """The run's record; a config value the command derives is passed by name."""
+    values = {**vars(args), **derived}
+    return OutputRecord(
+        scenario=args.command,
+        seed=getattr(args, "seed", None),
+        config={name: values[name] for name in CONFIG[args.command]},
+        summary=summary,
+        columns=columns or COLUMNS[args.command],
+        rows=rows,
+    )
+
+
 def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     initial = _initial_state(args)
     params = AtomParams(e0=args.e0, e1=args.e1, gamma=args.gamma)
@@ -176,36 +197,15 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     )
     stats = run_ensemble(cfg)
     rows = [
-        [
-            float(t),
-            int(c),
-            int(c) / cfg.n_atoms,
-            float(stats.survivor_excited_prob[k]),
-        ]
-        for k, (t, c) in enumerate(zip(stats.grid, stats.blackened_count))
+        [float(t), int(c), int(c) / cfg.n_atoms, float(p)]
+        for t, c, p in zip(stats.grid, stats.blackened_count, stats.survivor_excited_prob)
     ]
-    return OutputRecord(
-        scenario="decay-ensemble",
-        seed=args.seed,
-        config={
-            "n_atoms": cfg.n_atoms,
-            "a0": [initial.a0.real, initial.a0.imag],
-            "a1": [initial.a1.real, initial.a1.imag],
-            "p_excited": initial.excited_population,
-            "gamma": args.gamma,
-            "e0": args.e0,
-            "e1": args.e1,
-            "horizon": args.horizon,
-            "grid": args.grid,
-            "premeasure": args.premeasure,
-        },
-        summary={
-            "fraction_blackened_final": stats.fraction_blackened_final,
-            "blackened_final": int(stats.blackened_count[-1]),
-        },
-        columns=COLUMNS["decay-ensemble"],
-        rows=rows,
-    )
+    summary = {
+        "fraction_blackened_final": stats.fraction_blackened_final,
+        "blackened_final": int(stats.blackened_count[-1]),
+    }
+    a0, a1 = [initial.a0.real, initial.a0.imag], [initial.a1.real, initial.a1.imag]
+    return _record(args, summary, rows, a0=a0, a1=a1, p_excited=initial.excited_population)
 
 
 def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
@@ -218,22 +218,11 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
     # The fidelity with |g> of the pure conditioned state is its rho00.
     rows = np.column_stack([series.times, series.rho11, series.rho00])
-    return OutputRecord(
-        scenario="conditional-state",
-        seed=None,
-        config={
-            "p_excited": args.p_excited,
-            "gamma": args.gamma,
-            "horizon": args.horizon,
-            "grid": args.grid,
-        },
-        summary={
-            "final_excited_prob": float(rows[-1, 1]),
-            "final_fidelity_with_ground": float(rows[-1, 2]),
-        },
-        columns=COLUMNS["conditional-state"],
-        rows=rows,
-    )
+    summary = {
+        "final_excited_prob": float(rows[-1, 1]),
+        "final_fidelity_with_ground": float(rows[-1, 2]),
+    }
+    return _record(args, summary, rows)
 
 
 def cmd_ev(args: argparse.Namespace) -> OutputRecord:
@@ -263,21 +252,7 @@ def cmd_ev(args: argparse.Namespace) -> OutputRecord:
     else:
         columns = ["outcome", "probability"]
         rows = [[tag, p] for tag, p in zip(OUTCOMES, probs)]
-    return OutputRecord(
-        scenario="ev",
-        seed=args.seed,
-        config={
-            "blocker": args.blocker,
-            "t1": args.t1,
-            "t2": args.t2,
-            "phase_a": args.phase_a,
-            "phase_b": args.phase_b,
-            "shots": args.shots,
-        },
-        summary=summary,
-        columns=columns,
-        rows=rows,
-    )
+    return _record(args, summary, rows, columns)
 
 
 def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
@@ -296,7 +271,7 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
         initial=initial,
         params=params,
         horizon=args.horizon,
-        grid_points=2,
+        grid_points=args.grid,
         base_seed=args.seed,
     )
     mcfg = MasterRunConfig.with_points(dt=args.dt, t_max=args.horizon, points=args.grid)
@@ -316,29 +291,13 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
             analytic,
         ]
     )
-    return OutputRecord(
-        scenario="master-check",
-        seed=args.seed,
-        config={
-            "p_excited": args.p_excited,
-            "gamma": args.gamma,
-            "e0": args.e0,
-            "e1": args.e1,
-            "n_traj": args.n_traj,
-            "horizon": args.horizon,
-            "dt": args.dt,
-            "grid": args.grid,
-            "tol": tol,
-        },
-        summary={
-            "max_deviation": deviation,
-            "tol": tol,
-            "passed": deviation <= tol,
-            "max_population_error_vs_analytic": population_error,
-        },
-        columns=COLUMNS["master-check"],
-        rows=rows,
-    )
+    summary = {
+        "max_deviation": deviation,
+        "tol": tol,
+        "passed": deviation <= tol,
+        "max_population_error_vs_analytic": population_error,
+    }
+    return _record(args, summary, rows, tol=tol)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

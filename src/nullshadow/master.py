@@ -108,19 +108,19 @@ def integrate_master(
             f"dt={cfg.dt} exceeds stability bound {bound:.3g} for gamma={params.gamma}, "
             f"omega={params.omega}"
         )
-    n_steps = cfg.n_steps
+    n_steps, dt, gamma = cfg.n_steps, cfg.dt, params.gamma
     rate = 1j * params.omega - 0.5 * params.gamma
-    times = [0.0]
-    state = (rho0.rho00, rho0.rho11, rho0.rho01)
-    states = [state]
-    for k in range(1, n_steps + 1):
-        state = _step_rk4(*state, params.gamma, rate, cfg.dt)
-        if k % cfg.record_every == 0 or k == n_steps:
-            times.append(k * cfg.dt)
-            states.append(state)
+    # Step counts at the recorded points; each run of steps between two is one inner loop.
+    marks = [0, *range(cfg.record_every, n_steps, cfg.record_every), n_steps]
+    rho00, rho11, rho01 = rho0.rho00, rho0.rho11, rho0.rho01
+    states = [(rho00, rho11, rho01)]
+    for start, stop in zip(marks, marks[1:]):
+        for _ in range(stop - start):
+            rho00, rho11, rho01 = _step_rk4(rho00, rho11, rho01, gamma, rate, dt)
+        states.append((rho00, rho11, rho01))
     rho00, rho11, rho01 = zip(*states)
     return DensitySeries(
-        times=np.array(times),
+        times=np.array(marks) * dt,
         rho00=np.array(rho00),
         rho11=np.array(rho11),
         rho01=np.array(rho01, dtype=complex),

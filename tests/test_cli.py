@@ -428,6 +428,61 @@ def test_all_json_outputs_validate_against_schema(tmp_path):
         jsonschema.validate(json.loads(out.read_text()), schema)
 
 
+# Each record's config echo in key order, its seed and its columns. The
+# decay run's amplitudes 3 and 4i echo normalized, with |a1|^2 as
+# p_excited; master-check's default tol is 5/sqrt(16).
+CONFIG_ECHO_RUNS = {
+    "decay-ensemble": (
+        ["decay-ensemble", "--n-atoms", "10", "--a0-re", "3", "--a1-im", "4", "--horizon", "2",
+         "--grid", "3", "--seed", "5", "--gamma", "2", "--e0", "0.5", "--e1", "1.5"],
+        [("n_atoms", 10), ("a0", [0.6, 0.0]), ("a1", [0.0, 0.8]), ("p_excited", 0.6400000000000001),
+         ("gamma", 2.0), ("e0", 0.5), ("e1", 1.5), ("horizon", 2.0), ("grid", 3),
+         ("premeasure", False)],
+        5,
+        ["t", "blackened_count", "blackened_fraction", "survivor_excited_prob"],
+    ),
+    "master-check": (
+        ["master-check", "--p-excited", "0.5", "--n-traj", "16", "--horizon", "1", "--dt", "0.01",
+         "--grid", "5", "--seed", "9"],
+        [("p_excited", 0.5), ("gamma", 1.0), ("e0", 0.0), ("e1", 1.0), ("n_traj", 16),
+         ("horizon", 1.0), ("dt", 0.01), ("grid", 5), ("tol", 1.25)],
+        9,
+        ["t", "rho00_master", "rho11_master", "re_rho01_master", "im_rho01_master",
+         "rho00_traj", "rho11_traj", "re_rho01_traj", "im_rho01_traj", "rho11_analytic"],
+    ),
+    "ev": (
+        ["ev", "--blocker", "a", "--t1", "0.25"],
+        [("blocker", "a"), ("t1", 0.25), ("t2", 0.5), ("phase_a", 0.0), ("phase_b", 0.0),
+         ("shots", 0)],
+        0,
+        ["outcome", "probability"],
+    ),
+    "ev-shots": (
+        ["ev", "--shots", "10", "--seed", "3", "--phase-b", "1"],
+        [("blocker", "none"), ("t1", 0.5), ("t2", 0.5), ("phase_a", 0.0), ("phase_b", 1.0),
+         ("shots", 10)],
+        3,
+        ["outcome", "probability", "count", "frequency"],
+    ),
+    "conditional-state": (
+        ["conditional-state", "--p-excited", "0.5", "--horizon", "2", "--grid", "3", "--gamma", "2"],
+        [("p_excited", 0.5), ("gamma", 2.0), ("horizon", 2.0), ("grid", 3)],
+        None,
+        ["t", "excited_prob", "fidelity_with_ground"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_ECHO_RUNS)
+def test_record_echoes_its_config_in_order(name, capsys):
+    argv, config, seed, columns = CONFIG_ECHO_RUNS[name]
+    assert run_cli(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record["config"].items()) == config
+    assert record["seed"] == seed
+    assert record["columns"] == columns
+
+
 # One run per subcommand that writes a JSON record; ev with --shots 0.
 COLUMN_RUNS = {
     "decay-ensemble": DECAY,
