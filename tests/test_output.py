@@ -218,7 +218,11 @@ def float_table(n_rows):
 C = _CHUNK_ROWS
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+# Both sides of one and two chunk boundaries, plus tables of many chunks
+# that end one short of, on, and one past a boundary.
+@pytest.mark.parametrize(
+    "n_rows", sorted({0, 1, C - 1, C, C + 1, 2 * C + 1, 4095, 4096, 4097, 8193})
+)
 def test_array_and_list_tables_render_as_indented_dumps(n_rows):
     table = float_table(n_rows)
     expected = reference_json(table_record(table.tolist()))
