@@ -170,6 +170,14 @@ def _initial_state(args: argparse.Namespace) -> QubitState:
     return normalize(QubitState(a0, a1))
 
 
+def _check_window(args: argparse.Namespace) -> None:
+    """The --horizon and --grid checks shared by the time-tabulating subcommands."""
+    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise ConfigurationError(f"horizon must be positive and finite, got {args.horizon}")
+    if args.grid < 2:
+        raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
+
+
 def _record(args: argparse.Namespace, summary: dict, rows, columns=None, **derived) -> OutputRecord:
     """The run's record; a config value the command derives is passed by name."""
     values = {**vars(args), **derived}
@@ -186,24 +194,19 @@ def _record(args: argparse.Namespace, summary: dict, rows, columns=None, **deriv
 def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     initial = _initial_state(args)
     params = AtomParams(e0=args.e0, e1=args.e1, gamma=args.gamma)
+    _check_window(args)
     cfg = EnsembleConfig(
-        n_atoms=args.n_atoms,
-        initial=initial,
-        params=params,
-        horizon=args.horizon,
-        grid_points=args.grid,
-        base_seed=args.seed,
+        n_atoms=args.n_atoms, initial=initial, params=params, base_seed=args.seed,
         premeasure=args.premeasure,
     )
-    stats = run_ensemble(cfg)
+    times = np.linspace(0.0, args.horizon, args.grid)
+    stats = run_ensemble(cfg, times)
     rows = [
         [float(t), int(c), int(c) / cfg.n_atoms, float(p)]
-        for t, c, p in zip(stats.grid, stats.blackened_count, stats.survivor_excited_prob)
+        for t, c, p in zip(times, stats.blackened_count, stats.survivor_excited_prob)
     ]
-    summary = {
-        "fraction_blackened_final": stats.fraction_blackened_final,
-        "blackened_final": int(stats.blackened_count[-1]),
-    }
+    final = int(stats.blackened_count[-1])
+    summary = {"fraction_blackened_final": final / cfg.n_atoms, "blackened_final": final}
     a0, a1 = [initial.a0.real, initial.a0.imag], [initial.a1.real, initial.a1.imag]
     return _record(args, summary, rows, a0=a0, a1=a1, p_excited=initial.excited_population)
 
@@ -211,10 +214,7 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
 def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     initial = QubitState.from_excited_probability(args.p_excited)
     params = AtomParams(e0=0.0, e1=1.0, gamma=args.gamma)
-    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
-        raise ConfigurationError(f"horizon must be positive and finite, got {args.horizon}")
-    if args.grid < 2:
-        raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
+    _check_window(args)
     series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
     # The fidelity with |g> of the pure conditioned state is its rho00.
     rows = np.column_stack([series.times, series.rho11, series.rho00])
@@ -260,20 +260,12 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
     params = AtomParams(e0=args.e0, e1=args.e1, gamma=args.gamma)
     if args.n_traj < 1:
         raise ConfigurationError(f"n-traj must be >= 1, got {args.n_traj}")
-    if args.grid < 2:
-        raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
+    _check_window(args)
     tol = args.tol if args.tol is not None else 5.0 / math.sqrt(args.n_traj)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigurationError(f"tol must be nonnegative and finite, got {tol}")
 
-    ecfg = EnsembleConfig(
-        n_atoms=args.n_traj,
-        initial=initial,
-        params=params,
-        horizon=args.horizon,
-        grid_points=args.grid,
-        base_seed=args.seed,
-    )
+    ecfg = EnsembleConfig(n_atoms=args.n_traj, initial=initial, params=params, base_seed=args.seed)
     mcfg = MasterRunConfig.with_points(dt=args.dt, t_max=args.horizon, points=args.grid)
     series = integrate_master(density_from_state(initial), params, mcfg)
     jump_times = run_trajectories(ecfg)

@@ -100,11 +100,17 @@ def normalize(state: QubitState) -> QubitState:
 
     Raises ValueError("null state") for a zero-amplitude input, which
     signals a fully absorbed or blocked branch being misused as a state.
+    The amplitudes are first scaled by a power of two, which is exact, so
+    the norm neither overflows nor loses the bits of subnormal inputs.
     """
-    n = state.norm
+    parts = (state.a0.real, state.a0.imag, state.a1.real, state.a1.imag)
+    e = math.frexp(max(map(abs, parts)))[1]
+    a0r, a0i, a1r, a1i = (math.ldexp(x, -e) for x in parts)
+    scaled = QubitState(complex(a0r, a0i), complex(a1r, a1i))
+    n = scaled.norm
     if n == 0.0:
         raise ValueError("null state")
-    return QubitState(state.a0 / n, state.a1 / n)
+    return QubitState(scaled.a0 / n, scaled.a1 / n)
 
 
 def density_from_state(state: QubitState) -> DensityMatrix2:

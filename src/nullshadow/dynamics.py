@@ -51,6 +51,14 @@ def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np
     return times
 
 
+def checked_times(times: np.ndarray) -> np.ndarray:
+    """``times`` as a float array, each nonnegative (NaN is rejected)."""
+    times = np.asarray(times, dtype=float)
+    if times.size and not times.min() >= 0.0:
+        raise ValueError(f"time must be nonnegative, got {times.min()}")
+    return times
+
+
 def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -> DensitySeries:
     """Projector of the no-click conditioned state at each of ``times``.
 
@@ -62,9 +70,7 @@ def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -
     it; that case is returned directly, so S never underflows to 0/0.
     ``rho01`` is NaN where omega * t overflows.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and not times.min() >= 0.0:
-        raise ValueError(f"time must be nonnegative, got {times.min()}")
+    times = checked_times(times)
     p0, p1 = abs(initial.a0) ** 2, abs(initial.a1) ** 2
     if p0 == 0.0:
         zeros = np.zeros(times.shape)

@@ -2,8 +2,8 @@
 
 N atoms are prepared in the same superposed state, each in its own cell
 whose top acts as a photon detector: an emission permanently blackens
-that cell.  The run tracks the growing blackened count on a time grid
-and the state of the not-yet-blackened survivors, which all share one
+that cell.  The run tracks the growing blackened count at the caller's
+times and the state of the not-yet-blackened survivors, which all share one
 conditioned superposition (they are indistinguishable) unless the
 ``premeasure`` variant is enabled.
 
@@ -14,26 +14,26 @@ coherent conditioned state; exposing both variants side by side is the
 point of the module.
 
 An atom's whole history is its first-emission time, so the ensemble is
-one array of jump times (``inf`` for atoms that never emit).  The horizon
-only bounds the grid on which jumps are counted.
+one array of jump times (``inf`` for atoms that never emit).  The config
+describes only that sample; the times at which jumps are counted are an
+argument of :func:`run_ensemble`.
 
 Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
 bit-identical for a given seed.
 
 The shared survivor state is :func:`nullshadow.dynamics.no_jump_series`,
-evaluated once over the whole time grid.
+evaluated once over all the requested times.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AtomParams, ConfigurationError, QubitState
-from .dynamics import no_jump_series, sample_jump_times
+from .dynamics import checked_times, no_jump_series, sample_jump_times
 from .master import DensitySeries
 from .streams import uniforms_at
 
@@ -47,18 +47,12 @@ class EnsembleConfig:
     n_atoms: int
     initial: QubitState
     params: AtomParams
-    horizon: float
-    grid_points: int
     base_seed: int
     premeasure: bool = False
 
     def __post_init__(self) -> None:
         if self.n_atoms < 1:
             raise ConfigurationError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.grid_points < 2:
-            raise ConfigurationError(f"grid_points must be >= 2, got {self.grid_points}")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigurationError("base_seed must fit in 64 unsigned bits")
         if not abs(self.initial.norm - 1.0) <= 1e-9:
@@ -67,12 +61,10 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Aggregates on the time grid; counts are closed-interval (jump <= t)."""
+    """Aggregates at the requested times; counts are closed-interval (jump <= t)."""
 
-    grid: np.ndarray
     blackened_count: np.ndarray
     survivor_excited_prob: np.ndarray
-    fraction_blackened_final: float
 
 
 def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = None) -> np.ndarray:
@@ -89,12 +81,16 @@ def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = N
     return sample_jump_times(weights, cfg.params.gamma, u)
 
 
-def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
-    """Simulate the full cell array and aggregate it on the time grid."""
+def run_ensemble(cfg: EnsembleConfig, times: np.ndarray) -> EnsembleStats:
+    """Simulate the full cell array and aggregate it at ``times``.
+
+    The times may come in any order and may repeat; each must be
+    nonnegative (NaN is rejected).
+    """
+    times = checked_times(times)
     weights = _excited_weights(cfg)
     jump_times = run_trajectories(cfg, weights)
-    grid = np.linspace(0.0, cfg.horizon, cfg.grid_points)
-    blackened = np.searchsorted(np.sort(jump_times), grid, side="right")
+    blackened = np.searchsorted(np.sort(jump_times), times, side="right")
 
     if cfg.premeasure:
         # Survivors are a ground/excited mixture; report the empirical
@@ -108,14 +104,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleStats:
             )
     else:
         # All survivors share one conditioned state.
-        survivor_excited = no_jump_series(cfg.initial, cfg.params, grid).rho11
-
-    return EnsembleStats(
-        grid=grid,
-        blackened_count=blackened,
-        survivor_excited_prob=survivor_excited,
-        fraction_blackened_final=float(blackened[-1]) / cfg.n_atoms,
-    )
+        survivor_excited = no_jump_series(cfg.initial, cfg.params, times).rho11
+    return EnsembleStats(blackened, survivor_excited)
 
 
 def trajectory_state_series(
@@ -124,7 +114,7 @@ def trajectory_state_series(
     jump_times: np.ndarray,
     times: np.ndarray,
 ) -> tuple[np.ndarray, DensitySeries]:
-    """Where the trajectories stand on an ascending time grid, in O(T) numbers.
+    """Where the trajectories stand at each of ``times``, in O(T) numbers.
 
     Returns the fraction of trajectories in the ground state at each time
     (jump time <= t; ``inf`` means no jump) and the projector of the

@@ -40,11 +40,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_half_never_radiate():
-    cfg = EnsembleConfig(
-        n_atoms=100_000, initial=HALF, params=PARAMS,
-        horizon=20.0, grid_points=21, base_seed=SEED,
-    )
-    frac = run_ensemble(cfg).fraction_blackened_final
+    cfg = EnsembleConfig(n_atoms=100_000, initial=HALF, params=PARAMS, base_seed=SEED)
+    frac = run_ensemble(cfg, [20.0]).blackened_count[-1] / cfg.n_atoms
     report(
         "half-never-radiate",
         abs(frac - 0.5) <= 0.005,
@@ -55,11 +52,10 @@ def test_half_never_radiate():
 def test_exponential_law():
     cfg = EnsembleConfig(
         n_atoms=100_000, initial=QubitState.from_excited_probability(1.0),
-        params=PARAMS, horizon=5.0, grid_points=6, base_seed=SEED,
+        params=PARAMS, base_seed=SEED,
     )
-    stats = run_ensemble(cfg)
-    assert stats.grid[1] == 1.0
-    survivor_frac = 1.0 - stats.blackened_count[1] / cfg.n_atoms
+    stats = run_ensemble(cfg, [1.0])
+    survivor_frac = 1.0 - stats.blackened_count[0] / cfg.n_atoms
     target = math.exp(-1.0)
     report(
         "exponential-law",
@@ -77,10 +73,7 @@ def test_null_measurement_collapse():
     # cross-check the 1/3 by post-selection: among atoms silent up to
     # ln2, the fraction that eventually radiates equals the conditioned
     # excited population
-    cfg = EnsembleConfig(
-        n_atoms=100_000, initial=HALF, params=PARAMS,
-        horizon=40.0, grid_points=2, base_seed=SEED,
-    )
+    cfg = EnsembleConfig(n_atoms=100_000, initial=HALF, params=PARAMS, base_seed=SEED)
     jump_times = run_trajectories(cfg)
     silent_at_ln2 = jump_times[jump_times > LN2]
     eventually = int(np.count_nonzero(np.isfinite(silent_at_ln2)))
@@ -97,10 +90,7 @@ def test_null_measurement_collapse():
 
 def test_unraveling_oracle_agreement():
     params = AtomParams(e0=0.0, e1=3.0, gamma=1.0)
-    cfg = EnsembleConfig(
-        n_atoms=10_000, initial=HALF, params=params,
-        horizon=5.0, grid_points=2, base_seed=SEED,
-    )
+    cfg = EnsembleConfig(n_atoms=10_000, initial=HALF, params=params, base_seed=SEED)
     jump_times = run_trajectories(cfg)
     mcfg = MasterRunConfig(dt=5.0 / 490.0, t_max=5.0, record_every=10)
     series = integrate_master(density_from_state(HALF), params, mcfg)

@@ -229,6 +229,34 @@ class TestDecayEnsemble:
             assert "error" in capsys.readouterr().err, argv
 
 
+# The --horizon and --grid checks shared by the three time-tabulating
+# subcommands, with the one-line error each prints.
+WINDOW_ERRORS = [
+    (["--horizon", "0"], "horizon must be positive and finite, got 0.0"),
+    (["--horizon=nan"], "horizon must be positive and finite, got nan"),
+    (["--horizon=inf"], "horizon must be positive and finite, got inf"),
+    (["--grid", "1"], "grid must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("base", [DECAY, COND, MASTER], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flags, message", WINDOW_ERRORS, ids=["horizon=0", "horizon=nan", "horizon=inf", "grid=1"])
+def test_window_error_lines(base, flags, message, capsys):
+    assert run_cli(base + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nullshadow: error: {message}\n"
+
+
+@pytest.mark.parametrize("scale", ["1e-320", "1.7e308"])
+def test_amplitudes_are_normalized_at_either_end_of_the_float_range(scale, capsys):
+    # hypot of the raw amplitudes lost bits (subnormal) or overflowed
+    argv = ["decay-ensemble", "--n-atoms", "10", "--a0-re", scale, "--a1-re", scale, "--horizon", "1"]
+    assert run_cli(argv) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["a0"] == config["a1"] == [0.7071067811865476, 0.0]
+
+
 class TestConditionalState:
     def test_reference_rows(self, tmp_path):
         out = tmp_path / "cond.csv"

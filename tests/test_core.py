@@ -66,6 +66,25 @@ class TestNormalize:
         s = normalize(QubitState(1e-200, 1e-200))
         assert s.norm == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-320, 1.7e308])
+    def test_subnormal_and_huge_amplitudes(self, scale):
+        # hypot of the raw amplitudes loses bits below the normal range
+        # and overflows to inf at the top of it
+        s = normalize(QubitState(complex(scale), complex(scale)))
+        assert s == QubitState(complex(0.7071067811865476), complex(0.7071067811865476))
+        s = normalize(QubitState(complex(scale, scale), 0j))
+        assert s == QubitState(complex(0.7071067811865476, 0.7071067811865476), 0j)
+
+    def test_bit_equal_to_unscaled_formula_in_the_normal_range(self):
+        # scaling by a power of two is exact, so away from the ends of
+        # the float range the result is that of dividing by hypot directly
+        rng = np.random.default_rng(20)
+        parts = rng.uniform(-1.0, 1.0, (20_000, 4)) * 10.0 ** rng.uniform(-150, 150, (20_000, 4))
+        for a0r, a0i, a1r, a1i in parts.tolist():
+            state = QubitState(complex(a0r, a0i), complex(a1r, a1i))
+            n = math.hypot(abs(state.a0), abs(state.a1))
+            assert normalize(state) == QubitState(state.a0 / n, state.a1 / n)
+
 
 class TestFreeEvolve:
     """Without a decay channel the conditioned state only turns its phases."""

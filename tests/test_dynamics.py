@@ -1,9 +1,11 @@
+import argparse
 import cmath
 import math
 
 import numpy as np
 import pytest
 
+from nullshadow.cli import _check_window
 from nullshadow.core import (
     AtomParams,
     DensityMatrix2,
@@ -12,7 +14,6 @@ from nullshadow.core import (
     normalize,
 )
 from nullshadow.dynamics import no_jump_series, sample_jump_times
-from nullshadow.ensemble import EnsembleConfig
 from nullshadow.master import MasterRunConfig, integrate_master
 from nullshadow.streams import uniforms_at
 from reference import EXCITED, GROUND, reference_no_jump
@@ -281,12 +282,10 @@ class TestRunTrajectory:
         assert np.count_nonzero(times <= 1.5) + np.count_nonzero(times > 1.5) == n
 
     def test_bad_horizon(self):
-        for horizon in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                EnsembleConfig(
-                    n_atoms=1, initial=HALF, params=PARAMS, horizon=horizon,
-                    grid_points=2, base_seed=0,
-                )
+        # the horizon is the CLI's: it bounds the grid, not the sample
+        for horizon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                _check_window(argparse.Namespace(horizon=horizon, grid=2))
 
 
 class TestConditionalExcitedProb:

@@ -32,16 +32,13 @@ def reference_excited(t):
 
 
 def make_cfg(**overrides):
-    base = dict(
-        n_atoms=2000,
-        initial=HALF,
-        params=PARAMS,
-        horizon=5.0,
-        grid_points=11,
-        base_seed=42,
-    )
+    base = dict(n_atoms=2000, initial=HALF, params=PARAMS, base_seed=42)
     base.update(overrides)
     return EnsembleConfig(**base)
+
+
+def grid(horizon=5.0, points=11):
+    return np.linspace(0.0, horizon, points)
 
 
 class TestExpectedBlackened:
@@ -97,45 +94,56 @@ class TestRunTrajectories:
             assert times[i] == expected
 
     def test_times_do_not_depend_on_the_horizon(self):
-        # the horizon bounds only the counting grid; an atom that emits
-        # after it still has its finite jump time
-        short = run_trajectories(make_cfg(n_atoms=2000, horizon=0.1, grid_points=2))
-        long = run_trajectories(make_cfg(n_atoms=2000, horizon=50.0, grid_points=101))
-        assert np.any(np.isfinite(short) & (short > 0.1))
-        assert np.array_equal(short, long)
+        # there is no horizon: run_ensemble counts #{jump <= t} at whatever
+        # times it is given, unsorted, repeated, non-uniform, 0, on a jump
+        # and past the last one
+        for premeasure in (False, True):
+            cfg = make_cfg(premeasure=premeasure)
+            jump_times = run_trajectories(cfg)
+            last = jump_times[np.isfinite(jump_times)].max()
+            times = np.array(
+                [3.0, 0.0, 0.1, 0.1, last, np.nextafter(last, 0.0), 0.7, 2 * last, 1e300, 0.0]
+            )
+            stats = run_ensemble(cfg, times)
+            counts = (jump_times[:, None] <= times).sum(0)
+            assert np.array_equal(stats.blackened_count, counts)
+            assert counts[4] == counts[5] + 1 and counts[7] == counts[8]
+            if premeasure:
+                excited = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < 0.5
+                silent = jump_times[:, None] > times
+                expected = (excited[:, None] & silent).sum(0) / silent.sum(0)
+            else:
+                expected = no_jump_series(HALF, PARAMS, times).rho11
+            assert np.array_equal(stats.survivor_excited_prob, expected)
 
 
 class TestRunEnsemble:
     def test_ground_atoms_never_blacken(self):
-        stats = run_ensemble(make_cfg(initial=GROUND, n_atoms=500))
+        stats = run_ensemble(make_cfg(initial=GROUND, n_atoms=500), grid())
         assert np.all(stats.blackened_count == 0)
         assert np.all(stats.survivor_excited_prob == 0.0)
-        assert stats.fraction_blackened_final == 0.0
 
     def test_grid_and_monotone_counts(self):
         cfg = make_cfg()
-        stats = run_ensemble(cfg)
-        assert len(stats.grid) == cfg.grid_points
-        assert stats.grid[0] == 0.0 and stats.grid[-1] == cfg.horizon
+        stats = run_ensemble(cfg, grid())
+        assert len(stats.blackened_count) == len(stats.survivor_excited_prob) == len(grid())
         assert np.all(np.diff(stats.blackened_count) >= 0)
         assert stats.blackened_count[-1] <= cfg.n_atoms
-        assert stats.fraction_blackened_final == stats.blackened_count[-1] / cfg.n_atoms
 
     def test_survivor_curve_is_conditioned_population(self):
-        stats = run_ensemble(make_cfg())
-        expected = [reference_excited(float(t)) for t in stats.grid]
+        stats = run_ensemble(make_cfg(), grid())
+        expected = [reference_excited(float(t)) for t in grid()]
         assert np.allclose(stats.survivor_excited_prob, expected, atol=1e-12)
 
     def test_deterministic_across_threads_and_seeds(self, monkeypatch):
         # NULLSHADOW_THREADS is not read: even a malformed value changes nothing
         cfg = make_cfg(n_atoms=10_000)
-        a = run_ensemble(cfg)
+        a = run_ensemble(cfg, grid())
         monkeypatch.setenv("NULLSHADOW_THREADS", "not-a-number")
-        b = run_ensemble(cfg)
+        b = run_ensemble(cfg, grid())
         assert np.array_equal(a.blackened_count, b.blackened_count)
         assert np.array_equal(a.survivor_excited_prob, b.survivor_excited_prob)
-        assert a.fraction_blackened_final == b.fraction_blackened_final
-        c = run_ensemble(make_cfg(n_atoms=10_000, base_seed=43))
+        c = run_ensemble(make_cfg(n_atoms=10_000, base_seed=43), grid())
         assert not np.array_equal(a.blackened_count, c.blackened_count)
 
     def test_final_count_within_binomial_band_across_seeds(self):
@@ -145,15 +153,21 @@ class TestRunEnsemble:
         sigma = math.sqrt(p * (1.0 - p) / n)
         hits = 0
         for seed in range(100):
-            cfg = make_cfg(n_atoms=n, horizon=horizon, grid_points=2, base_seed=seed)
-            frac = run_ensemble(cfg).fraction_blackened_final
+            cfg = make_cfg(n_atoms=n, base_seed=seed)
+            frac = run_ensemble(cfg, [horizon]).blackened_count[-1] / n
             hits += abs(frac - p) <= 3.0 * sigma
         assert hits >= 99
 
+    @pytest.mark.parametrize("premeasure", [False, True])
+    def test_negative_or_nan_time_rejected(self, premeasure):
+        for bad in (-1.0, -5e-324, math.nan):
+            with pytest.raises(ValueError, match="time must be nonnegative"):
+                run_ensemble(make_cfg(premeasure=premeasure), [0.0, 1.0, bad, 2.0])
+
     def test_count_tracks_expected_curve(self):
-        cfg = make_cfg(n_atoms=50_000, grid_points=6)
-        stats = run_ensemble(cfg)
-        for t, c in zip(stats.grid, stats.blackened_count):
+        cfg = make_cfg(n_atoms=50_000)
+        stats = run_ensemble(cfg, grid(points=6))
+        for t, c in zip(grid(points=6), stats.blackened_count):
             mean = expected_blackened(cfg.n_atoms, 0.5, 1.0, float(t))
             band = 3.0 * math.sqrt(cfg.n_atoms) * 0.5 + 1.0
             assert abs(c - mean) <= band
@@ -165,35 +179,35 @@ class TestPremeasure:
         p = 0.5 * (1.0 - math.exp(-horizon))
         sigma = math.sqrt(p * (1.0 - p) / n)
         for premeasure in (False, True):
-            cfg = make_cfg(n_atoms=n, horizon=horizon, grid_points=2, premeasure=premeasure)
-            frac = run_ensemble(cfg).fraction_blackened_final
+            cfg = make_cfg(n_atoms=n, premeasure=premeasure)
+            frac = run_ensemble(cfg, [horizon]).blackened_count[-1] / n
             assert abs(frac - p) <= 3.0 * sigma
 
     def test_survivor_states_are_a_classical_mixture(self):
-        cfg = make_cfg(n_atoms=4000, horizon=1.0, premeasure=True)
+        cfg = make_cfg(n_atoms=4000, premeasure=True)
         times = run_trajectories(cfg)
         excited = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < 0.5
-        survived = times > cfg.horizon
+        survived = times > 1.0
         # survivors include both premeasured levels; every emitter was excited
         assert set(excited[survived].tolist()) == {False, True}
         assert np.all(excited[~survived])
         # the survivors' excited fraction is the reported curve's last value
-        stats = run_ensemble(cfg)
+        stats = run_ensemble(cfg, grid(1.0))
         assert stats.survivor_excited_prob[-1] == excited[survived].mean()
 
     def test_unmeasured_survivors_share_the_survivor_state(self):
         # every silent atom rides the one conditioned state, whose excited
         # population is the reported survivor curve
-        cfg = make_cfg(n_atoms=4000, horizon=1.0)
-        stats = run_ensemble(cfg)
-        for t, reported in zip(stats.grid, stats.survivor_excited_prob):
+        cfg = make_cfg(n_atoms=4000)
+        stats = run_ensemble(cfg, grid(1.0))
+        for t, reported in zip(grid(1.0), stats.survivor_excited_prob):
             assert reference_excited(float(t)) == pytest.approx(reported, abs=1e-12)
 
     def test_empirical_survivor_curve_tracks_conditional_formula(self):
-        cfg = make_cfg(n_atoms=100_000, horizon=2.0, grid_points=5, premeasure=True)
-        stats = run_ensemble(cfg)
+        cfg = make_cfg(n_atoms=100_000, premeasure=True)
+        stats = run_ensemble(cfg, grid(2.0, 5))
         for t, frac, count in zip(
-            stats.grid, stats.survivor_excited_prob, stats.blackened_count
+            grid(2.0, 5), stats.survivor_excited_prob, stats.blackened_count
         ):
             survivors = cfg.n_atoms - count
             expected = reference_excited(float(t))
@@ -209,12 +223,12 @@ class TestPremeasure:
             return uniforms_at(seed, indices, slot)
 
         monkeypatch.setattr("nullshadow.ensemble.uniforms_at", counting)
-        run_ensemble(make_cfg(premeasure=True))
+        run_ensemble(make_cfg(premeasure=True), grid())
         assert sorted(slots) == [SLOT_PREMEASURE, SLOT_JUMP]
 
     def test_no_survivors_yields_nan(self):
-        cfg = make_cfg(n_atoms=200, initial=EXCITED, horizon=80.0, premeasure=True)
-        stats = run_ensemble(cfg)
+        cfg = make_cfg(n_atoms=200, initial=EXCITED, premeasure=True)
+        stats = run_ensemble(cfg, grid(80.0))
         assert stats.blackened_count[-1] == 200
         assert math.isnan(stats.survivor_excited_prob[-1])
 
@@ -241,13 +255,6 @@ class TestConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigurationError):
             make_cfg(n_atoms=0)
-        with pytest.raises(ConfigurationError):
-            make_cfg(horizon=0.0)
-        for horizon in (math.nan, math.inf):
-            with pytest.raises(ConfigurationError):
-                make_cfg(horizon=horizon)
-        with pytest.raises(ConfigurationError):
-            make_cfg(grid_points=1)
         with pytest.raises(ConfigurationError):
             make_cfg(base_seed=-1)
         with pytest.raises(ConfigurationError):

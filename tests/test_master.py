@@ -255,9 +255,7 @@ class TestAverageTrajectories:
         assert np.all(avg.rho01 == 0.0)
 
     def test_trace_one_up_to_rounding(self):
-        cfg = EnsembleConfig(
-            n_atoms=500, initial=HALF, params=PARAMS, horizon=4.0, grid_points=2, base_seed=9
-        )
+        cfg = EnsembleConfig(n_atoms=500, initial=HALF, params=PARAMS, base_seed=9)
         jump_times = run_trajectories(cfg)
         times = np.linspace(0.0, 4.0, 9)
         avg = average_trajectories(*trajectory_state_series(HALF, PARAMS, jump_times, times))
@@ -265,9 +263,7 @@ class TestAverageTrajectories:
 
     def test_monte_carlo_matches_master_at_ten_thousand(self):
         params = AtomParams(e0=0.0, e1=3.0, gamma=1.0)
-        cfg = EnsembleConfig(
-            n_atoms=10_000, initial=HALF, params=params, horizon=5.0, grid_points=2, base_seed=42
-        )
+        cfg = EnsembleConfig(n_atoms=10_000, initial=HALF, params=params, base_seed=42)
         jump_times = run_trajectories(cfg)
         mcfg = MasterRunConfig(dt=5 / 490, t_max=5.0, record_every=10)
         series = integrate_master(density_from_state(HALF), params, mcfg)
@@ -286,9 +282,7 @@ class TestAverageTrajectories:
         # once jump <= t, the shared conditioned state before), averaged
         initial = QubitState(0.6 + 0.0j, 0.48 + 0.64j)
         times = np.linspace(0.0, 4.0, 9)
-        cfg = EnsembleConfig(
-            n_atoms=500, initial=initial, params=PARAMS, horizon=4.0, grid_points=2, base_seed=seed
-        )
+        cfg = EnsembleConfig(n_atoms=500, initial=initial, params=PARAMS, base_seed=seed)
         jump_times = run_trajectories(cfg)
         jump_times[:27] = times[np.arange(27) % len(times)]  # jumps exactly on grid points
         avg = average_trajectories(*trajectory_state_series(initial, PARAMS, jump_times, times))
@@ -307,9 +301,7 @@ def test_coherence_flow_matches_trajectory_finite_difference():
     # averaged coherence, by central differences, equals lindblad_rhs
     # applied to the averaged matrix
     t0, h = 0.4, 0.25
-    cfg = EnsembleConfig(
-        n_atoms=50_000, initial=HALF, params=PARAMS, horizon=10.0, grid_points=2, base_seed=7
-    )
+    cfg = EnsembleConfig(n_atoms=50_000, initial=HALF, params=PARAMS, base_seed=7)
     jump_times = run_trajectories(cfg)
     times = np.array([t0 - h, t0, t0 + h])
     avg = average_trajectories(*trajectory_state_series(HALF, PARAMS, jump_times, times))
