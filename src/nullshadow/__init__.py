@@ -1,7 +1,7 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .core import (
     AtomParams,

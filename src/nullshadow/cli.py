@@ -266,7 +266,7 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
         raise ConfigurationError(f"tol must be nonnegative and finite, got {tol}")
 
     ecfg = EnsembleConfig(n_atoms=args.n_traj, initial=initial, params=params, base_seed=args.seed)
-    mcfg = MasterRunConfig.with_points(dt=args.dt, t_max=args.horizon, points=args.grid)
+    mcfg = MasterRunConfig(dt=args.dt, t_max=args.horizon, points=args.grid)
     series = integrate_master(density_from_state(initial), params, mcfg)
     jump_times = run_trajectories(ecfg)
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))

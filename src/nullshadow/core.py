@@ -85,9 +85,8 @@ class DensityMatrix2:
     """2x2 density matrix stored as populations plus one coherence.
 
     ``rho01`` is the ground-row, excited-column element; the mirror
-    element is its conjugate by Hermiticity.  The same container is also
-    used for time derivatives (which are traceless, not states), so no
-    invariant is enforced at construction.
+    element is its conjugate by Hermiticity.  No invariant (unit trace,
+    positivity) is enforced at construction.
     """
 
     rho00: float
@@ -98,11 +97,15 @@ class DensityMatrix2:
 def normalize(state: QubitState) -> QubitState:
     """Rescale to unit norm, preserving the relative phase.
 
-    Raises ValueError("null state") for a zero-amplitude input, which
-    signals a fully absorbed or blocked branch being misused as a state.
+    Raises ValueError naming the first non-finite amplitude, and
+    ValueError("null state") for a zero-amplitude input, which signals a
+    fully absorbed or blocked branch being misused as a state.
     The amplitudes are first scaled by a power of two, which is exact, so
     the norm neither overflows nor loses the bits of subnormal inputs.
     """
+    for a in (state.a0, state.a1):
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            raise ValueError(f"amplitudes must be finite, got {a}")
     parts = (state.a0.real, state.a0.imag, state.a1.real, state.a1.imag)
     e = math.frexp(max(map(abs, parts)))[1]
     a0r, a0i, a1r, a1i = (math.ldexp(x, -e) for x in parts)

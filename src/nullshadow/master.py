@@ -26,11 +26,11 @@ from .core import AtomParams, ConfigurationError, DensityMatrix2
 
 @dataclass(frozen=True)
 class MasterRunConfig:
-    """Fixed-step integration window: step, horizon, recording stride."""
+    """Fixed-step integration window: step, horizon and about how many times to record."""
 
     dt: float
     t_max: float
-    record_every: int = 1
+    points: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -41,24 +41,18 @@ class MasterRunConfig:
             )
         if not math.isfinite(self.t_max / self.dt):
             raise ConfigurationError(f"step count t_max/dt overflows: t_max={self.t_max}, dt={self.dt}")
-        if self.record_every < 1:
-            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
-
-    @classmethod
-    def with_points(cls, dt: float, t_max: float, points: int) -> MasterRunConfig:
-        """A window recording about ``points`` >= 2 times, the last step included.
-
-        The stride, n_steps // (points - 1) but at least 1, follows from
-        the checked step count, so it is set on the one checked instance.
-        """
-        cfg = cls(dt=dt, t_max=t_max)
-        object.__setattr__(cfg, "record_every", max(1, cfg.n_steps // (points - 1)))
-        return cfg
+        if self.points < 2:
+            raise ConfigurationError(f"points must be >= 2, got {self.points}")
 
     @property
     def n_steps(self) -> int:
         """Number of fixed steps, t_max / dt rounded to the nearest integer."""
         return int(round(self.t_max / self.dt))
+
+    @property
+    def record_every(self) -> int:
+        """Steps between recorded times, n_steps // (points - 1) but at least 1."""
+        return max(1, self.n_steps // (self.points - 1))
 
 
 @dataclass(frozen=True)

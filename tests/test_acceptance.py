@@ -92,7 +92,7 @@ def test_unraveling_oracle_agreement():
     params = AtomParams(e0=0.0, e1=3.0, gamma=1.0)
     cfg = EnsembleConfig(n_atoms=10_000, initial=HALF, params=params, base_seed=SEED)
     jump_times = run_trajectories(cfg)
-    mcfg = MasterRunConfig(dt=5.0 / 490.0, t_max=5.0, record_every=10)
+    mcfg = MasterRunConfig(dt=5.0 / 490.0, t_max=5.0, points=50)
     series = integrate_master(density_from_state(HALF), params, mcfg)
     assert len(series.times) == 50
     averaged = average_trajectories(

@@ -9,6 +9,7 @@ import pytest
 import nullshadow
 from nullshadow.core import AtomParams, DensityMatrix2, QubitState
 from nullshadow.ensemble import EnsembleConfig, EnsembleStats
+from nullshadow.master import MasterRunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,6 +73,9 @@ def test_removed_members_are_gone():
     assert [f.name for f in dataclasses.fields(EnsembleStats)] == [
         "blackened_count", "survivor_excited_prob"
     ]
+    # since 0.9.0 the oracle window is built by its constructor alone
+    assert [f.name for f in dataclasses.fields(MasterRunConfig)] == ["dt", "t_max", "points"]
+    assert not hasattr(MasterRunConfig, "with_points")
 
 
 def test_readme_library_block_prints_what_its_comments_say():
@@ -80,8 +84,8 @@ def test_readme_library_block_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     printed = out.getvalue().splitlines()
-    assert len(printed) == 4
-    assert printed[3] == "(252, 244, 504)"
+    assert len(printed) == 5
+    assert printed[3:] == ["(252, 244, 504)", "[0. 1. 2. 3. 4. 5.]"]
     # the two exact lines are the comments beside their print calls
     for line in printed[2:]:
         assert f"# {line}" in block

@@ -189,6 +189,17 @@ class TestDecayEnsemble:
         assert code == 0
         assert json.loads(out.read_text())["config"]["premeasure"] is True
 
+    def test_premeasure_without_decay_keeps_the_drawn_mixture(self, capsys):
+        # gamma = 0: no atom emits, so every survivor column is the
+        # excited fraction drawn in the premeasure slot
+        argv = ["decay-ensemble", "--premeasure", "--gamma", "0", "--n-atoms", "1000",
+                "--p-excited", "0.3", "--seed", "4", "--horizon", "5"]
+        assert run_cli(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        drawn = (uniforms_at(4, np.arange(1000), 0) < record["config"]["p_excited"]).mean()
+        assert drawn == 0.277
+        assert [row[1:] for row in record["rows"]] == [[0, 0.0, drawn]] * len(record["rows"])
+
     def test_state_flag_conflicts_exit_2(self, capsys):
         code = run_cli(
             [
@@ -255,6 +266,16 @@ def test_amplitudes_are_normalized_at_either_end_of_the_float_range(scale, capsy
     assert run_cli(argv) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert config["a0"] == config["a1"] == [0.7071067811865476, 0.0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_amplitude_is_named(value, capsys):
+    # it was normalized to a NaN state, then rejected as not normalized
+    argv = ["decay-ensemble", "--n-atoms", "10", f"--a0-re={value}", "--a1-re", "1", "--horizon", "1"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nullshadow: error: amplitudes must be finite, got ({value}+0j)\n"
 
 
 class TestConditionalState:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestNormalize:
     def test_null_state_raises(self):
         with pytest.raises(ValueError, match="null state"):
             normalize(QubitState(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "state, shown",
+        [(QubitState(complex(math.nan), 1), "(nan+0j)"), (QubitState(complex(math.inf), 1), "(inf+0j)"),
+         (QubitState(1, complex(0.0, -math.inf)), "-infj")],
+        ids=["nan", "inf", "imaginary-inf"],
+    )
+    def test_non_finite_amplitude_raises(self, state, shown):
+        # scaling a NaN or infinite amplitude gave a NaN state, not an error
+        with pytest.raises(ValueError, match=re.escape(f"amplitudes must be finite, got {shown}")):
+            normalize(state)
 
     def test_relative_phase_preserved(self):
         s = normalize(QubitState(3.0, 3.0j))

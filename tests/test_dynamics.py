@@ -79,7 +79,7 @@ class TestNoJumpEvolve:
         # probability S = p0 + p1 e^(-gamma t) must equal the conditioned
         # population
         rho0 = density_from_state(HALF)
-        series = integrate_master(rho0, PARAMS, MasterRunConfig(dt=LN2 / 100, t_max=LN2))
+        series = integrate_master(rho0, PARAMS, MasterRunConfig(dt=LN2 / 100, t_max=LN2, points=2))
         p_click_free = 0.5 + 0.5 * math.exp(-PARAMS.gamma * LN2)
         conditioned_rho11 = series.rho11[-1] / p_click_free
         assert conditioned_rho11 == pytest.approx(conditioned(HALF, PARAMS, LN2).rho11, abs=1e-6)

@@ -226,6 +226,17 @@ class TestPremeasure:
         run_ensemble(make_cfg(premeasure=True), grid())
         assert sorted(slots) == [SLOT_PREMEASURE, SLOT_JUMP]
 
+    def test_without_decay_no_atom_blackens(self):
+        # the survivors are the whole premeasured sample at every time
+        params = AtomParams(e0=0.0, e1=1.0, gamma=0.0)
+        cfg = make_cfg(n_atoms=1000, initial=QubitState.from_excited_probability(0.3), params=params,
+                       base_seed=4, premeasure=True)
+        p1 = cfg.initial.excited_population
+        drawn = (uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < p1).mean()
+        stats = run_ensemble(cfg, grid(5.0))
+        assert np.all(stats.blackened_count == 0)
+        assert np.all(stats.survivor_excited_prob == drawn)
+
     def test_no_survivors_yields_nan(self):
         cfg = make_cfg(n_atoms=200, initial=EXCITED, premeasure=True)
         stats = run_ensemble(cfg, grid(80.0))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestLindbladRhs:
         # the coherence of a pure state rotates as exp(+i omega t)
         params = AtomParams(e0=0.4, e1=2.4, gamma=0.0)
         t = 0.8
-        cfg = MasterRunConfig(dt=0.002, t_max=t, record_every=400)
+        cfg = MasterRunConfig(dt=0.002, t_max=t, points=2)
         series = integrate_master(density_from_state(HALF), params, cfg)
         pure = no_jump_series(HALF, params, np.array([t])).rho01[0]
         assert series.rho01[-1] == pytest.approx(pure, abs=1e-9)
@@ -134,7 +135,7 @@ class TestStepRk4:
     def test_integration_is_bit_identical_to_iterated_reference(self, e0, e1, gamma, dt):
         params = AtomParams(e0=e0, e1=e1, gamma=gamma)
         rho0 = random_matrices(seed=7, n=1)[0]
-        cfg = MasterRunConfig(dt=dt, t_max=300 * dt, record_every=7)
+        cfg = MasterRunConfig(dt=dt, t_max=300 * dt, points=43)
         series = integrate_master(rho0, params, cfg)
         rho, expected = rho0, [rho0]
         for k in range(1, cfg.n_steps + 1):
@@ -149,19 +150,19 @@ class TestStepRk4:
 
 class TestIntegrateMaster:
     def test_pure_decay_exponential(self):
-        cfg = MasterRunConfig(dt=0.001, t_max=1.0, record_every=100)
+        cfg = MasterRunConfig(dt=0.001, t_max=1.0, points=11)
         series = integrate_master(DensityMatrix2(0.0, 1.0, 0.0j), PARAMS, cfg)
         assert series.rho11[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_ground_state_unchanged(self):
-        cfg = MasterRunConfig(dt=0.01, t_max=4.0, record_every=10)
+        cfg = MasterRunConfig(dt=0.01, t_max=4.0, points=41)
         series = integrate_master(DensityMatrix2(1.0, 0.0, 0.0j), PARAMS, cfg)
         last = matrix_at(series, -1)
         assert last.rho00 == 1.0 and last.rho11 == 0.0 and last.rho01 == 0.0
 
     def test_uniform_matrix_closed_form_at_ln2(self):
         params = AtomParams(e0=0.0, e1=0.0, gamma=1.0)
-        cfg = MasterRunConfig(dt=LN2 / 200, t_max=LN2, record_every=200)
+        cfg = MasterRunConfig(dt=LN2 / 200, t_max=LN2, points=2)
         series = integrate_master(DensityMatrix2(0.5, 0.5, 0.5 + 0.0j), params, cfg)
         last = matrix_at(series, -1)
         assert last.rho11 == pytest.approx(0.25, abs=1e-9)
@@ -169,7 +170,7 @@ class TestIntegrateMaster:
 
     @pytest.mark.parametrize("p1", [0.0, 0.25, 0.5, 1.0])
     def test_populations_closed_form(self, p1):
-        cfg = MasterRunConfig(dt=0.005, t_max=3.0, record_every=60)
+        cfg = MasterRunConfig(dt=0.005, t_max=3.0, points=11)
         series = integrate_master(DensityMatrix2(1.0 - p1, p1, 0.0j), PARAMS, cfg)
         for t, rho00, rho11 in zip(series.times, series.rho00, series.rho11):
             assert rho11 == pytest.approx(p1 * math.exp(-t), abs=1e-6)
@@ -181,7 +182,7 @@ class TestIntegrateMaster:
         # error at this step is ~5e-12 and scales as dt^4
         params = AtomParams(e0=0.4, e1=2.7, gamma=0.7)
         rho0 = density_from_state(QubitState(0.6 + 0.0j, 0.48 + 0.64j))
-        cfg = MasterRunConfig(dt=0.002, t_max=6.0, record_every=125)
+        cfg = MasterRunConfig(dt=0.002, t_max=6.0, points=25)
         series = integrate_master(rho0, params, cfg)
         t = series.times
         assert len(t) == 25 and t[-1] == 6.0
@@ -192,14 +193,14 @@ class TestIntegrateMaster:
         assert np.max(np.abs(series.rho01 - rho01)) <= 1e-10
 
     def test_trace_preserved_and_states_valid(self):
-        cfg = MasterRunConfig(dt=0.002, t_max=5.0, record_every=250)
+        cfg = MasterRunConfig(dt=0.002, t_max=5.0, points=11)
         series = integrate_master(density_from_state(HALF), PARAMS, cfg)
         for k in range(len(series.times)):
             m = matrix_at(series, k)
             check_state(m, atol=1e-10)
 
     def test_series_arrays(self):
-        cfg = MasterRunConfig(dt=0.01, t_max=0.1, record_every=1)
+        cfg = MasterRunConfig(dt=0.01, t_max=0.1, points=11)
         series = integrate_master(density_from_state(HALF), PARAMS, cfg)
         assert len(series.times) == len(series.rho00) == len(series.rho01) == 11
         assert series.rho11.shape == (11,)
@@ -208,30 +209,36 @@ class TestIntegrateMaster:
     def test_stability_bound_enforced(self):
         fast = AtomParams(e0=0.0, e1=50.0, gamma=1.0)
         with pytest.raises(ConfigurationError, match="stability"):
-            integrate_master(density_from_state(HALF), fast, MasterRunConfig(dt=0.01, t_max=1.0))
+            integrate_master(density_from_state(HALF), fast, MasterRunConfig(dt=0.01, t_max=1.0, points=2))
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ConfigurationError):
-            MasterRunConfig(dt=0.0, t_max=1.0)
+            MasterRunConfig(dt=0.0, t_max=1.0, points=2)
         with pytest.raises(ConfigurationError):
-            MasterRunConfig(dt=0.1, t_max=0.05)
-        with pytest.raises(ConfigurationError):
-            MasterRunConfig(dt=0.01, t_max=1.0, record_every=0)
+            MasterRunConfig(dt=0.1, t_max=0.05, points=2)
+        with pytest.raises(ConfigurationError, match="points must be >= 2, got 1"):
+            MasterRunConfig(dt=0.01, t_max=1.0, points=1)
+        with pytest.raises(ConfigurationError, match="dt must be positive"):  # the window first
+            MasterRunConfig(dt=0.0, t_max=1.0, points=0)
         for dt, t_max in ((math.nan, 1.0), (math.inf, 1.0), (0.01, math.nan), (0.01, math.inf),
                           (5e-324, 1.0)):
             with pytest.raises(ConfigurationError):
-                MasterRunConfig(dt=dt, t_max=t_max)
+                MasterRunConfig(dt=dt, t_max=t_max, points=2)
 
-    def test_with_points_sets_the_stride_of_a_checked_window(self):
-        for dt, t_max, points, stride in ((0.01, 1.0, 50, 2), (0.0002, 10.0, 50, 1020), (0.01, 1.0, 1000, 1)):
-            cfg = MasterRunConfig.with_points(dt=dt, t_max=t_max, points=points)
-            assert cfg == MasterRunConfig(dt=dt, t_max=t_max, record_every=stride)
-        for dt, t_max in ((0.0, 1.0), (0.1, 0.05), (math.nan, 1.0), (1e-300, 1e300)):
-            with pytest.raises(ConfigurationError) as exc:
-                MasterRunConfig.with_points(dt=dt, t_max=t_max, points=50)
-            with pytest.raises(ConfigurationError) as direct:
-                MasterRunConfig(dt=dt, t_max=t_max)
-            assert str(exc.value) == str(direct.value)
+    def test_stride_follows_from_the_window(self):
+        for dt, t_max, points, stride in ((0.01, 1.0, 50, 2), (0.0002, 10.0, 50, 1020), (0.01, 1.0, 1000, 1),
+                                          (0.01, 1.0, 2, 100), (5 / 490, 5.0, 50, 10), (0.01, 0.1, 11, 1)):
+            cfg = MasterRunConfig(dt=dt, t_max=t_max, points=points)
+            assert cfg.record_every == stride == max(1, cfg.n_steps // (points - 1))
+            with pytest.raises(AttributeError):
+                cfg.record_every = stride
+
+    def test_replaced_step_keeps_the_point_count(self):
+        cfg = replace(MasterRunConfig(dt=0.01, t_max=5.0, points=50), dt=0.0002)
+        assert cfg.n_steps == 25_000 and cfg.record_every == 25_000 // 49
+        series = integrate_master(DensityMatrix2(0.0, 1.0, 0.0j), PARAMS, cfg)
+        # steps 0, 510, ..., 24 990 and the final 25 000
+        assert len(series.times) == 51 and series.times[-1] == 5.0
 
 
 class TestAverageTrajectories:
@@ -265,7 +272,7 @@ class TestAverageTrajectories:
         params = AtomParams(e0=0.0, e1=3.0, gamma=1.0)
         cfg = EnsembleConfig(n_atoms=10_000, initial=HALF, params=params, base_seed=42)
         jump_times = run_trajectories(cfg)
-        mcfg = MasterRunConfig(dt=5 / 490, t_max=5.0, record_every=10)
+        mcfg = MasterRunConfig(dt=5 / 490, t_max=5.0, points=50)
         series = integrate_master(density_from_state(HALF), params, mcfg)
         avg = average_trajectories(
             *trajectory_state_series(HALF, params, jump_times, series.times)
