@@ -7,6 +7,7 @@ from .core import (
     AtomParams,
     ConfigurationError,
     DensityMatrix2,
+    DensitySeries,
     QubitState,
     density_from_state,
     normalize,
@@ -28,7 +29,6 @@ from .interferometer import (
     detection_probs,
 )
 from .master import (
-    DensitySeries,
     MasterRunConfig,
     average_trajectories,
     integrate_master,

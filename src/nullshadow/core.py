@@ -20,6 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # only annotations name numpy, so importing core does not load it
+    import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -92,6 +96,16 @@ class DensityMatrix2:
     rho00: float
     rho11: float
     rho01: complex
+
+
+@dataclass(frozen=True)
+class DensitySeries:
+    """Density matrices on a time grid, one array per matrix entry."""
+
+    times: np.ndarray
+    rho00: np.ndarray
+    rho11: np.ndarray
+    rho01: np.ndarray
 
 
 def normalize(state: QubitState) -> QubitState:

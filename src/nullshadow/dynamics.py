@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AtomParams, QubitState
-from .master import DensitySeries
+from .core import AtomParams, DensitySeries, QubitState
 
 
 def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np.ndarray:

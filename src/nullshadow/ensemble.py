@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomParams, ConfigurationError, QubitState
+from .core import AtomParams, ConfigurationError, DensitySeries, QubitState
 from .dynamics import checked_times, no_jump_series, sample_jump_times
-from .master import DensitySeries
 from .streams import uniforms_at
 
 # Fixed draw-slot layout of each atom's substream.

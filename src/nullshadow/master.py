@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AtomParams, ConfigurationError, DensityMatrix2
+from .core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,6 @@ class MasterRunConfig:
     def record_every(self) -> int:
         """Steps between recorded times, n_steps // (points - 1) but at least 1."""
         return max(1, self.n_steps // (self.points - 1))
-
-
-@dataclass(frozen=True)
-class DensitySeries:
-    """Density matrices on a time grid, one array per matrix entry."""
-
-    times: np.ndarray
-    rho00: np.ndarray
-    rho11: np.ndarray
-    rho01: np.ndarray
 
 
 def _step_rk4(

@@ -155,7 +155,7 @@ def test_fringe_property():
     report("fringe-property", worst <= 1e-12, f"max |pD2 - sin^2(d/2)| = {worst:.2e} at 64 points")
 
 
-def test_determinism_across_threads(tmp_path):
+def test_determinism_across_reruns(tmp_path):
     commands = {
         "decay": ["decay-ensemble", "--n-atoms", "5000", "--p-excited", "0.5",
                   "--horizon", "5", "--grid", "11", "--seed", "42", "--format", "json"],

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import io
@@ -89,3 +90,30 @@ def test_readme_library_block_prints_what_its_comments_say():
     # the two exact lines are the comments beside their print calls
     for line in printed[2:]:
         assert f"# {line}" in block
+
+
+def _imported(nodes) -> set[str]:
+    """The modules named by the import statements among ``nodes``, relative ones with their dots."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse(Path(nullshadow.__file__).with_name(f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("module", ["dynamics", "ensemble"])
+def test_the_sampler_does_not_import_its_oracle(module):
+    # master is the independent cross-check that the trajectories are tested against
+    assert ".master" not in _imported(ast.walk(_tree(module)))
+
+
+def test_density_series_lives_in_core_which_imports_no_numpy():
+    assert nullshadow.DensitySeries is nullshadow.core.DensitySeries is nullshadow.master.DensitySeries
+    # numpy appears there only under TYPE_CHECKING, for the DensitySeries annotations
+    assert "numpy" not in _imported(_tree("core").body)
