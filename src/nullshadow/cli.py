@@ -24,8 +24,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .core import AtomParams, ConfigurationError, QubitState, density_from_state, normalize
 from .dynamics import no_jump_series
@@ -199,6 +197,8 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
         n_atoms=args.n_atoms, initial=initial, params=params, base_seed=args.seed,
         premeasure=args.premeasure,
     )
+    import numpy as np
+
     times = np.linspace(0.0, args.horizon, args.grid)
     stats = run_ensemble(cfg, times)
     rows = [
@@ -215,6 +215,8 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     initial = QubitState.from_excited_probability(args.p_excited)
     params = AtomParams(e0=0.0, e1=1.0, gamma=args.gamma)
     _check_window(args)
+    import numpy as np
+
     series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
     # The fidelity with |g> of the pure conditioned state is its rho00.
     rows = np.column_stack([series.times, series.rho11, series.rho00])
@@ -245,6 +247,8 @@ def cmd_ev(args: argparse.Namespace) -> OutputRecord:
         "shots": args.shots,
     }
     if args.shots > 0:
+        import numpy as np
+
         counts = count_outcomes(probs, uniforms_at(args.seed, np.arange(args.shots), 0))
         summary["counts"] = dict(zip(OUTCOMES, counts))
         columns = ["outcome", "probability", "count", "frequency"]
@@ -271,6 +275,8 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
     jump_times = run_trajectories(ecfg)
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
     deviation = max_elementwise_deviation(averaged, series)
+
+    import numpy as np
 
     analytic = args.p_excited * np.exp(-args.gamma * series.times)
     population_error = float(np.max(np.abs(series.rho11 - analytic)))

@@ -24,11 +24,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .core import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BlockerArm = Literal["a", "b"]
 
@@ -88,6 +89,8 @@ def count_outcomes(probs: DetectionProbs, u: np.ndarray) -> tuple[int, int, int]
     Inverse transform in the order of OUTCOMES: u < p_d1 is a D1 click,
     u < p_d1 + p_d2 a D2 click, and the rest is absorbed.
     """
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniform variates must lie in [0, 1)")

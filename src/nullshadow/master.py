@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ def integrate_master(
             f"dt={cfg.dt} exceeds stability bound {bound:.3g} for gamma={params.gamma}, "
             f"omega={params.omega}"
         )
+    import numpy as np
+
     n_steps, dt, gamma = cfg.n_steps, cfg.dt, params.gamma
     rate = 1j * params.omega - 0.5 * params.gamma
     # Step counts at the recorded points; each run of steps between two is one inner loop.
@@ -132,6 +136,8 @@ def max_elementwise_deviation(a: DensitySeries, b: DensitySeries) -> float:
 
     NaN if any entry is NaN, so a tolerance check on the result fails.
     """
+    import numpy as np
+
     if len(a.times) != len(b.times):
         raise ValueError(f"series lengths differ: {len(a.times)} vs {len(b.times)}")
     diff = np.stack([a.rho00 - b.rho00, a.rho11 - b.rho11, a.rho01 - b.rho01])

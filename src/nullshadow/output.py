@@ -26,7 +26,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
 from . import __version__
@@ -106,6 +105,8 @@ def _write_slices(fh: TextIO, text: str) -> None:
 
 def load_schema() -> dict[str, Any]:
     """The JSON schema that every JSON record must satisfy."""
+    from importlib import resources
+
     text = resources.files("nullshadow.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8")
     return json.loads(text)
 

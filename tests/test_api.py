@@ -2,7 +2,11 @@ import ast
 import contextlib
 import dataclasses
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from nullshadow.ensemble import EnsembleConfig, EnsembleStats
 from nullshadow.master import MasterRunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     "__version__",
@@ -117,3 +122,63 @@ def test_density_series_lives_in_core_which_imports_no_numpy():
     assert nullshadow.DensitySeries is nullshadow.core.DensitySeries is nullshadow.master.DensitySeries
     # numpy appears there only under TYPE_CHECKING, for the DensitySeries annotations
     assert "numpy" not in _imported(_tree("core").body)
+
+
+def _fresh(code: str, *args: str):
+    """What ``code`` prints as JSON, run in a new interpreter that imports the package from src.
+
+    This process has numpy loaded already, so only a new one can show
+    what the package itself imports.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(proc.stdout)
+
+
+# Runs cli.main on the argv given as JSON, its output discarded, and
+# prints the exit code and whether numpy was loaded.
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from nullshadow import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+WITHOUT_ARRAYS = {
+    "version": (["--version"], 0),
+    "help": (["--help"], 0),
+    "exact-ev": (["ev", "--blocker", "b"], 0),
+    "usage-error": (["ev", "--shots", "many"], 2),
+    "configuration-error": (["decay-ensemble", "--n-atoms", "0", "--p-excited", "0.5", "--horizon", "1"], 2),
+    "stability-error": (["master-check", "--p-excited", "0.5", "--n-traj", "10", "--horizon", "1",
+                         "--dt", "0.5"], 2),
+}
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _fresh('import json, sys, nullshadow; print(json.dumps("numpy" in sys.modules))') is False
+
+
+@pytest.mark.parametrize("argv, code", WITHOUT_ARRAYS.values(), ids=WITHOUT_ARRAYS)
+def test_runs_that_build_no_array_load_no_numpy(argv, code):
+    assert _fresh(_RUN_MAIN, json.dumps(argv)) == [code, False]
+
+
+def test_a_sampled_run_loads_numpy():
+    # the check above would hold vacuously if the child could not see numpy at all
+    assert _fresh(_RUN_MAIN, json.dumps(["ev", "--blocker", "b", "--shots", "10"])) == [0, True]
+
+
+def test_importing_the_cli_imports_every_module():
+    # perfbench/replay.py wraps the functions of the modules that are
+    # loaded once nullshadow.cli is; one imported later would go untraced.
+    loaded = _fresh('import json, sys, nullshadow.cli; print(json.dumps(sorted(sys.modules)))')
+    for module in ["core", "streams", "dynamics", "ensemble", "master", "interferometer", "output"]:
+        assert f"nullshadow.{module}" in loaded
