@@ -3,11 +3,11 @@ two-beam-splitter interferometer, with a Lindblad master-equation oracle.
 
 Every module is imported here, but numpy is imported only inside the
 functions that build arrays: importing the package, ``--version``,
-``--help``, ``ev`` without ``--shots`` and a configuration error caught
-before any array is built never load it.
+``--help``, ``ev`` without ``--shots``, ``conditional-state`` and a
+configuration error caught before any array is built never load it.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .core import (
     AtomParams,

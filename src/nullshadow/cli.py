@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import __version__
 from .core import AtomParams, ConfigurationError, QubitState, density_from_state, normalize
-from .dynamics import no_jump_series
+from .dynamics import no_click_populations
 from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
 from .interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from .master import MasterRunConfig, average_trajectories, integrate_master, max_elementwise_deviation
@@ -176,6 +176,25 @@ def _check_window(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
 
 
+def time_grid(horizon: float, points: int) -> list[float]:
+    """``np.linspace(0.0, horizon, points)`` bit for bit, as plain floats (points >= 2).
+
+    The list is allocated whole before it is filled, so a grid too large
+    to hold fails at once with MemoryError.
+    """
+    div = points - 1
+    step = horizon / div
+    times = [0.0] * points
+    if step == 0.0:  # a subnormal horizon: numpy divides before it scales
+        for i in range(points):
+            times[i] = i / div * horizon
+    else:
+        for i in range(points):
+            times[i] = i * step
+    times[-1] = horizon
+    return times
+
+
 def _record(args: argparse.Namespace, summary: dict, rows, columns=None, **derived) -> OutputRecord:
     """The run's record; a config value the command derives is passed by name."""
     values = {**vars(args), **derived}
@@ -199,7 +218,7 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     )
     import numpy as np
 
-    times = np.linspace(0.0, args.horizon, args.grid)
+    times = np.asarray(time_grid(args.horizon, args.grid))
     stats = run_ensemble(cfg, times)
     rows = [
         [float(t), int(c), int(c) / cfg.n_atoms, float(p)]
@@ -215,15 +234,14 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     initial = QubitState.from_excited_probability(args.p_excited)
     params = AtomParams(e0=0.0, e1=1.0, gamma=args.gamma)
     _check_window(args)
-    import numpy as np
-
-    series = no_jump_series(initial, params, np.linspace(0.0, args.horizon, args.grid))
-    # The fidelity with |g> of the pure conditioned state is its rho00.
-    rows = np.column_stack([series.times, series.rho11, series.rho00])
-    summary = {
-        "final_excited_prob": float(rows[-1, 1]),
-        "final_fidelity_with_ground": float(rows[-1, 2]),
-    }
+    p0, p1 = abs(initial.a0) ** 2, abs(initial.a1) ** 2
+    times = time_grid(args.horizon, args.grid)
+    rows = [None] * len(times)
+    for i, t in enumerate(times):
+        # The fidelity with |g> of the pure conditioned state is its rho00.
+        rho11, rho00, _ = no_click_populations(p0, p1, params.gamma, t)
+        rows[i] = [t, rho11, rho00]
+    summary = {"final_excited_prob": rows[-1][1], "final_fidelity_with_ground": rows[-1][2]}
     return _record(args, summary, rows)
 
 
@@ -278,7 +296,7 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
 
     import numpy as np
 
-    analytic = args.p_excited * np.exp(-args.gamma * series.times)
+    analytic = np.array([args.p_excited * math.exp(-args.gamma * t) for t in series.times.tolist()])
     population_error = float(np.max(np.abs(series.rho11 - analytic)))
 
     rows = np.column_stack(

@@ -23,6 +23,7 @@ caller; there is no hidden generator state.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .core import AtomParams, DensitySeries, QubitState
@@ -65,16 +66,30 @@ def checked_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
+def no_click_populations(p0: float, p1: float, gamma: float, t: float) -> tuple[float, float, float]:
+    """rho11, rho00 and the no-click probability S of the conditioned state at time t.
+
+    The closed form on plain floats: x = p1 e^(-gamma t) and S = x + p0
+    give rho11 = x / S and rho00 = p0 / S.  An overflowing exponent gives
+    e^(-inf) = 0, the exact limit.  A pure excited state (p0 == 0) stays
+    excited, since only an actual jump can change it; that case is
+    returned directly, so S never underflows to 0/0.
+    """
+    x = math.exp(-gamma * t) * p1
+    if p0 == 0.0:
+        return 1.0, 0.0, x
+    survival = x + p0
+    return x / survival, p0 / survival, survival
+
+
 def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -> DensitySeries:
     """Projector of the no-click conditioned state at each of ``times``.
 
-    With S(t) = p0 + p1 e^(-gamma t), the normalized no-jump branch gives
-    rho00 = p0 / S, rho11 = p1 e^(-gamma t) / S and
+    The populations are :func:`no_click_populations` at each time, and
     rho01 = a0 conj(a1) e^((i omega - gamma / 2) t) / S.  The excited
-    population falls monotonically to 0 whenever p0 > 0.  A pure excited
-    state (p0 == 0) stays excited, since only an actual jump can change
-    it; that case is returned directly, so S never underflows to 0/0.
-    ``rho01`` is NaN where omega * t overflows.
+    population falls monotonically to 0 whenever p0 > 0, and a pure
+    excited state (p0 == 0) stays excited with rho01 = 0.  ``rho01`` is
+    NaN where omega * t overflows.
     """
     import numpy as np
 
@@ -83,15 +98,11 @@ def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -
     if p0 == 0.0:
         zeros = np.zeros(times.shape)
         return DensitySeries(times, zeros, np.ones(times.shape), zeros.astype(complex))
-    # Updated in place, so little is allocated beyond the three results.
-    # An overflowing exponent gives e^(-inf) = 0, the exact limit.
+    gamma = params.gamma
+    table = [no_click_populations(p0, p1, gamma, t) for t in times.ravel().tolist()]
+    rho11, rho00, survival = np.moveaxis(np.array(table, dtype=float).reshape(*times.shape, 3), -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        rho11 = np.exp(-params.gamma * times)
-        rho01 = np.exp((1j * params.omega - 0.5 * params.gamma) * times)
-    rho11 *= p1
-    survival = rho11 + p0
+        rho01 = np.exp((1j * params.omega - 0.5 * gamma) * times)
     rho01 *= initial.a0 * initial.a1.conjugate()
     rho01 /= survival
-    rho11 /= survival
-    rho00 = np.divide(p0, survival, out=survival)
     return DensitySeries(times, rho00, rho11, rho01)

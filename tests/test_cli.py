@@ -10,7 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nullshadow import cli
-from nullshadow.cli import build_parser, main
+from nullshadow.cli import build_parser, main, time_grid
+from nullshadow.core import AtomParams, QubitState
+from nullshadow.dynamics import no_jump_series
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from nullshadow.output import load_schema
 from nullshadow.streams import uniforms_at
@@ -328,6 +330,45 @@ class TestConditionalState:
         assert data["summary"]["final_excited_prob"] == 1.0
         assert data["summary"]["final_fidelity_with_ground"] == 0.0
 
+    def test_pure_excited_state_under_an_overflowing_exponent(self, capsys):
+        # e^(-gamma t) underflows to 0 after t = 0, so S = p1 e^(-gamma t) + 0 is 0
+        # there; without the p0 == 0 branch rho11 = 0 / 0 raises ZeroDivisionError.
+        argv = ["conditional-state", "--p-excited", "1", "--gamma", "1e300", "--horizon", "1e300",
+                "--grid", "3"]
+        assert run_cli(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [[t, 1.0, 0.0] for t in (0.0, 5e299, 1e300)]
+
+    @pytest.mark.parametrize("p_excited, gamma", [(0.5, 1.0), (0.9, 0.7), (1e-300, 3.0), (1.0, 2.0)])
+    def test_rows_are_the_no_jump_series_populations(self, p_excited, gamma, capsys):
+        # the table and the library share one closed form, so they agree bit for bit
+        argv = ["conditional-state", f"--p-excited={p_excited}", f"--gamma={gamma}",
+                "--horizon", "30", "--grid", "61"]
+        assert run_cli(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        times = np.asarray(time_grid(30.0, 61))
+        series = no_jump_series(QubitState.from_excited_probability(p_excited),
+                                AtomParams(0.0, 1.0, gamma), times)
+        assert rows == np.column_stack([series.times, series.rho11, series.rho00]).tolist()
+
+
+class TestTimeGrid:
+    """``time_grid`` is the time column of conditional-state and decay-ensemble."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(horizon=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           points=st.integers(2, 400))
+    @example(horizon=5e-324, points=3)  # numpy's step == 0 branch
+    @example(horizon=1e-320, points=5000)  # the same branch, with nonzero points inside
+    @example(horizon=1e300, points=3)
+    @example(horizon=1e300, points=50001)
+    @example(horizon=1.7976931348623157e308, points=4)  # (points - 1) * step overflows
+    @example(horizon=10.0, points=50001)
+    def test_equals_numpy_linspace_bit_for_bit(self, horizon, points):
+        with np.errstate(over="ignore"):
+            expected = np.linspace(0.0, horizon, points)
+        grid = np.array(time_grid(horizon, points))
+        assert grid.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
 
 class TestEv:
     def test_no_blocker_exact(self, tmp_path):
@@ -423,8 +464,11 @@ class TestMasterCheck:
         header, rows = read_csv_table(str(out))
         i_t = header.index("t")
         i_m = header.index("rho11_master")
+        i_a = header.index("rho11_analytic")
         for row in rows:
             assert row[i_m] == pytest.approx(0.5 * math.exp(-row[i_t]), abs=1e-6)
+            # math.exp, not numpy's SIMD exp, so the column is the same on every CPU
+            assert row[i_a] == 0.5 * math.exp(-1.0 * row[i_t])
 
     def test_tolerance_violation_exits_3(self, tmp_path):
         out = tmp_path / "fail.json"
@@ -597,7 +641,8 @@ def test_help_epilog_names_the_documented_exit_codes(capsys):
     assert codes == _exit_codes(cli.__doc__)
 
 
-# Each asks numpy for a 728 TiB array, which it refuses at once.
+# Each asks for 728 TiB at once, which is refused: a numpy array for
+# decay-ensemble and ev, conditional-state's list of grid times.
 OVERSIZED_ARGVS = [
     ["decay-ensemble", "--n-atoms", "100000000000000", "--p-excited", "0.5", "--horizon", "2"],
     ["ev", "--shots", "100000000000000"],

@@ -8,8 +8,10 @@ version masked in all three.  Every entry runs in-process through
 the terminal width.
 
 The bytes are fixed per float environment, not by the seed alone: numpy's
-vectorised ``exp`` can move the last digit of a float between SIMD dispatch
-targets, on the same wheel and host.  The file's header records the
+vectorised kernels can move the last digit of a float between SIMD dispatch
+targets, on the same wheel and host.  The closed forms use ``math.exp``, but
+``master-check``'s ``max_deviation`` takes numpy's complex ``abs``, which
+rounds differently without AVX2.  The file's header records the
 environment the digests were written in.  Exit codes are compared in every
 environment; digests only where the environment equals the header's, and
 elsewhere the byte test skips with a reason naming both.
