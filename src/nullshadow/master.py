@@ -134,11 +134,13 @@ def average_trajectories(jumped: np.ndarray, conditioned: DensitySeries) -> Dens
 def max_elementwise_deviation(a: DensitySeries, b: DensitySeries) -> float:
     """Largest entry-wise distance between two density-matrix series.
 
-    NaN if any entry is NaN, so a tolerance check on the result fails.
+    NaN if any entry is NaN, so a tolerance check on the result fails.  Unlike
+    numpy's complex ``abs``, ``np.hypot`` rounds alike on every SIMD target.
     """
     import numpy as np
 
     if len(a.times) != len(b.times):
         raise ValueError(f"series lengths differ: {len(a.times)} vs {len(b.times)}")
-    diff = np.stack([a.rho00 - b.rho00, a.rho11 - b.rho11, a.rho01 - b.rho01])
-    return float(np.max(np.abs(diff)))
+    d01 = a.rho01 - b.rho01
+    dist = np.stack([np.abs(a.rho00 - b.rho00), np.abs(a.rho11 - b.rho11), np.hypot(d01.real, d01.imag)])
+    return float(np.max(dist))

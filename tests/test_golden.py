@@ -7,14 +7,14 @@ version masked in all three.  Every entry runs in-process through
 ``cli.main``, with ``COLUMNS`` pinned because argparse wraps ``--help`` to
 the terminal width.
 
-The bytes are fixed per float environment, not by the seed alone: numpy's
-vectorised kernels can move the last digit of a float between SIMD dispatch
-targets, on the same wheel and host.  The closed forms use ``math.exp``, but
-``master-check``'s ``max_deviation`` takes numpy's complex ``abs``, which
-rounds differently without AVX2.  The file's header records the
-environment the digests were written in.  Exit codes are compared in every
-environment; digests only where the environment equals the header's, and
-elsewhere the byte test skips with a reason naming both.
+The bytes are fixed by the seed together with the Python version, the
+numpy version and the machine; numpy's SIMD dispatch targets do not move
+them.  The file's header records the environment the digests were written
+in.  Exit codes are compared in every environment; digests only where the
+environment equals the header's, and elsewhere the byte test skips with a
+reason naming both.  A second test runs three lines in child processes,
+once with every SIMD target that numpy dispatches to on this CPU and once
+with all of them turned off, and requires the same stdout from both.
 
 A change that moves bytes on purpose rewrites the file and names the lines
 that moved in CHANGES.md.  The rewrite keeps the argvs and replaces the
@@ -35,6 +35,7 @@ import json
 import os
 import platform
 import shlex
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -54,22 +55,12 @@ REWRITE = "PYTHONPATH=src python tests/test_golden.py"
 
 
 def environment() -> dict:
-    """What fixes the output bytes: the Python and numpy versions and numpy's SIMD targets."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
-    return {
-        "python": "%d.%d" % sys.version_info[:2],
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "numpy_simd_baseline": list(__cpu_baseline__),
-        "numpy_simd_dispatch": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
-    }
+    """What fixes the output bytes: the Python and numpy versions and the machine."""
+    return {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__, "machine": platform.machine()}
 
 
 def describe(env: dict) -> str:
-    return ", ".join(f"{k} {' '.join(v) if isinstance(v, list) else v}" for k, v in env.items())
+    return ", ".join(f"{k} {v}" for k, v in env.items())
 
 
 def _digest(data: bytes) -> str:
@@ -163,10 +154,46 @@ def test_a_changed_digest_is_named_by_argv_and_stream(golden, results):
 
 def test_another_environment_skips_naming_both(golden):
     pinned = golden["environment"]
-    other = {**pinned, "numpy_simd_dispatch": ["X86_V3"]}
+    other = {**pinned, "numpy": "1.26.4"}
     reason = environment_mismatch(pinned, other)
     assert f"[{describe(pinned)}]" in reason and f"[{describe(other)}]" in reason
     assert environment_mismatch(pinned, dict(pinned)) is None
+
+
+# One line per kind of float work: the RK4 oracle and max_deviation, array
+# jump-time sampling and grid counts, and the interferometer's draws.
+SIMD_LINES = [
+    ["master-check", "--p-excited", "0.5", "--n-traj", "30000", "--horizon", "5", "--dt", "0.01",
+     "--grid", "50", "--seed", "3", "--format", "json"],
+    ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "100000", "--horizon", "20", "--grid", "41",
+     "--seed", "1", "--format", "csv"],
+    ["ev", "--blocker", "b", "--shots", "1000", "--seed", "7"],
+]
+
+
+def _python(*args: str, disable: str = "") -> bytes:
+    """The stdout of a new interpreter on the package in src, the SIMD targets in ``disable`` turned off."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disable}
+    return subprocess.run([sys.executable, *args], capture_output=True, check=True, env=env).stdout
+
+
+@pytest.fixture(scope="module")
+def dispatch_targets() -> str:
+    # numpy's own list of the targets it dispatches to on this CPU, asked in a
+    # child with none turned off, since this process may run with some off.
+    # Naming a target that the CPU lacks would raise an ImportWarning.
+    code = 'import numpy; print(*numpy.__config__.CONFIG["SIMD Extensions"].get("found", []))'
+    return _python("-c", code).decode().strip()
+
+
+@pytest.mark.parametrize("argv", SIMD_LINES, ids=lambda argv: argv[0])
+def test_bytes_do_not_depend_on_simd_dispatch(argv, dispatch_targets):
+    if not dispatch_targets:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    full = _python("-m", "nullshadow", *argv)
+    assert full == _python("-m", "nullshadow", *argv, disable=dispatch_targets), (
+        f"`nullshadow {shlex.join(argv)}` wrote other bytes with {dispatch_targets} turned off")
 
 
 def main() -> None:

@@ -325,6 +325,12 @@ def test_max_elementwise_deviation_is_nan_when_any_entry_is_nan():
     assert math.isnan(max_elementwise_deviation(series_of(bad, good), series_of(good, far)))
     assert math.isnan(max_elementwise_deviation(series_of(good, bad), series_of(far, good)))
     assert max_elementwise_deviation(series_of(good, far), series_of(good, good)) == 1.0
+    for nan_part in (DensityMatrix2(math.nan, 0.0, 0.0j), DensityMatrix2(1.0, 0.0, complex(math.nan, 0.5)),
+                     DensityMatrix2(1.0, 0.0, complex(0.5, math.nan))):
+        assert math.isnan(max_elementwise_deviation(series_of(nan_part, good), series_of(good, far)))
+    # as for a complex abs, an infinite coherence distance is infinite even when its other part is NaN
+    inf_nan = DensityMatrix2(1.0, 0.0, complex(math.inf, math.nan))
+    assert max_elementwise_deviation(series_of(inf_nan, good), series_of(good, far)) == math.inf
 
 
 def test_max_elementwise_deviation_requires_equal_lengths():
