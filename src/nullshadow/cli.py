@@ -236,12 +236,10 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     _check_window(args)
     p0, p1 = abs(initial.a0) ** 2, abs(initial.a1) ** 2
     times = time_grid(args.horizon, args.grid)
-    rows = [None] * len(times)
-    for i, t in enumerate(times):
-        # The fidelity with |g> of the pure conditioned state is its rho00.
-        rho11, rho00, _ = no_click_populations(p0, p1, params.gamma, t)
-        rows[i] = [t, rho11, rho00]
-    summary = {"final_excited_prob": rows[-1][1], "final_fidelity_with_ground": rows[-1][2]}
+    # The fidelity with |g> of the pure conditioned state is its rho00.
+    rho11, rho00, _ = no_click_populations(p0, p1, params.gamma, times)
+    rows = [list(row) for row in zip(times, rho11, rho00)]
+    summary = {"final_excited_prob": rho11[-1], "final_fidelity_with_ground": rho00[-1]}
     return _record(args, summary, rows)
 
 

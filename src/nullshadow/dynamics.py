@@ -66,8 +66,10 @@ def checked_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def no_click_populations(p0: float, p1: float, gamma: float, t: float) -> tuple[float, float, float]:
-    """rho11, rho00 and the no-click probability S of the conditioned state at time t.
+def no_click_populations(
+    p0: float, p1: float, gamma: float, times: list[float]
+) -> tuple[list[float], list[float], list[float]]:
+    """rho11, rho00 and the no-click probability S of the conditioned state at each of ``times``.
 
     The closed form on plain floats: x = p1 e^(-gamma t) and S = x + p0
     give rho11 = x / S and rho00 = p0 / S.  An overflowing exponent gives
@@ -75,17 +77,17 @@ def no_click_populations(p0: float, p1: float, gamma: float, t: float) -> tuple[
     excited, since only an actual jump can change it; that case is
     returned directly, so S never underflows to 0/0.
     """
-    x = math.exp(-gamma * t) * p1
+    xs = [math.exp(-gamma * t) * p1 for t in times]
     if p0 == 0.0:
-        return 1.0, 0.0, x
-    survival = x + p0
-    return x / survival, p0 / survival, survival
+        return [1.0] * len(xs), [0.0] * len(xs), xs
+    survival = [x + p0 for x in xs]
+    return [x / s for x, s in zip(xs, survival)], [p0 / s for s in survival], survival
 
 
 def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -> DensitySeries:
     """Projector of the no-click conditioned state at each of ``times``.
 
-    The populations are :func:`no_click_populations` at each time, and
+    The populations are :func:`no_click_populations` of ``times``, and
     rho01 = a0 conj(a1) e^((i omega - gamma / 2) t) / S.  The excited
     population falls monotonically to 0 whenever p0 > 0, and a pure
     excited state (p0 == 0) stays excited with rho01 = 0.  ``rho01`` is
@@ -98,11 +100,10 @@ def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -
     if p0 == 0.0:
         zeros = np.zeros(times.shape)
         return DensitySeries(times, zeros, np.ones(times.shape), zeros.astype(complex))
-    gamma = params.gamma
-    table = [no_click_populations(p0, p1, gamma, t) for t in times.ravel().tolist()]
-    rho11, rho00, survival = np.moveaxis(np.array(table, dtype=float).reshape(*times.shape, 3), -1, 0)
+    columns = no_click_populations(p0, p1, params.gamma, times.ravel().tolist())
+    rho11, rho00, survival = (np.array(column).reshape(times.shape) for column in columns)
     with np.errstate(over="ignore", invalid="ignore"):
-        rho01 = np.exp((1j * params.omega - 0.5 * gamma) * times)
+        rho01 = np.exp((1j * params.omega - 0.5 * params.gamma) * times)
     rho01 *= initial.a0 * initial.a1.conjugate()
     rho01 /= survival
     return DensitySeries(times, rho00, rho11, rho01)

@@ -26,6 +26,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+MAX_STEPS = 10**8  # the most RK4 steps one window may take, about two minutes of stepping
+
+
 @dataclass(frozen=True)
 class MasterRunConfig:
     """Fixed-step integration window: step, horizon and about how many times to record."""
@@ -41,8 +44,8 @@ class MasterRunConfig:
             raise ConfigurationError(
                 f"t_max must be finite and at least one step, got t_max={self.t_max}, dt={self.dt}"
             )
-        if not math.isfinite(self.t_max / self.dt):
-            raise ConfigurationError(f"step count t_max/dt overflows: t_max={self.t_max}, dt={self.dt}")
+        if self.t_max / self.dt > MAX_STEPS:
+            raise ConfigurationError(f"step count t_max/dt={self.t_max / self.dt:.3g} exceeds {MAX_STEPS}")
         if self.points < 2:
             raise ConfigurationError(f"points must be >= 2, got {self.points}")
 

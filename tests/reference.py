@@ -3,7 +3,8 @@
 No subcommand runs these, so they live with the tests: the generator that
 the RK4 step is held bit-equal to, the state check, the mean blackening
 law, a typed CSV reader, the two basis states, and the scalar no-click
-state that ``dynamics.no_jump_series`` is compared with.
+state that ``dynamics.no_jump_series`` is compared with, and the per-time
+closed form that ``dynamics.no_click_populations`` is held bit-equal to.
 """
 
 import cmath
@@ -21,6 +22,19 @@ def reference_no_jump(state, params, t):
     a0 = state.a0 * cmath.exp(-1j * params.e0 * t)
     a1 = state.a1 * cmath.exp(-1j * params.e1 * t) * math.exp(-0.5 * params.gamma * t)
     return normalize(QubitState(a0, a1))
+
+
+def no_click_populations_at(p0, p1, gamma, t):
+    """rho11, rho00 and S at one time t, one IEEE operation after another.
+
+    x = p1 e^(-gamma t), S = x + p0, rho11 = x / S and rho00 = p0 / S; a
+    pure excited state (p0 == 0) gives 1.0 and 0.0 with S = x.
+    """
+    x = math.exp(-gamma * t) * p1
+    if p0 == 0.0:
+        return 1.0, 0.0, x
+    survival = x + p0
+    return x / survival, p0 / survival, survival
 
 
 def lindblad_rhs(rho, params):

@@ -159,6 +159,8 @@ WITHOUT_ARRAYS = {
     "configuration-error": (["decay-ensemble", "--n-atoms", "0", "--p-excited", "0.5", "--horizon", "1"], 2),
     "stability-error": (["master-check", "--p-excited", "0.5", "--n-traj", "10", "--horizon", "1",
                          "--dt", "0.5"], 2),
+    "step-bound-error": (["master-check", "--p-excited", "0.5", "--n-traj", "10", "--horizon", "1",
+                          "--dt", "1e-300"], 2),
     # the closed-form table is built from plain floats
     "conditional-state-json": (["conditional-state", "--p-excited", "0.5", "--horizon", "2"], 0),
     "conditional-state-csv": (["conditional-state", "--p-excited", "0.5", "--horizon", "2",

@@ -14,6 +14,7 @@ from nullshadow.cli import build_parser, main, time_grid
 from nullshadow.core import AtomParams, QubitState
 from nullshadow.dynamics import no_jump_series
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
+from nullshadow.master import MAX_STEPS
 from nullshadow.output import load_schema
 from nullshadow.streams import uniforms_at
 from reference import read_csv_table
@@ -749,9 +750,10 @@ def cli_argv(draw):
         horizon = draw(floats(0.0, 4.0))
         # A step count t/dt in the millions is valid but slow: draw dt
         # either freely or as horizon / steps, and skip the slow draws.
+        # Counts beyond MAX_STEPS are refused at once, so they stay in.
         dt = draw(st.one_of(st.floats(), st.integers(1, 300).map(lambda n: horizon / n)))
         with contextlib.suppress(ZeroDivisionError):
-            assume(not 1000 < horizon / dt < math.inf)
+            assume(not 1000 < horizon / dt <= MAX_STEPS)
         argv = [f"--horizon={horizon}", f"--dt={dt}"] + _flags(
             draw,
             ATOM + [GRID, ("seed", SEED), ("tol", floats(0.0, 1.0))],

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nullshadow.cli import _check_window
 from nullshadow.core import (
@@ -13,10 +15,10 @@ from nullshadow.core import (
     density_from_state,
     normalize,
 )
-from nullshadow.dynamics import no_jump_series, sample_jump_times
+from nullshadow.dynamics import no_click_populations, no_jump_series, sample_jump_times
 from nullshadow.master import MasterRunConfig, integrate_master
 from nullshadow.streams import uniforms_at
-from reference import EXCITED, GROUND, reference_no_jump
+from reference import EXCITED, GROUND, no_click_populations_at, reference_no_jump
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
@@ -120,6 +122,44 @@ class TestNoJumpEvolve:
                 assert abs(series.rho00[k] - ref.rho00) <= 1e-15
                 assert abs(series.rho11[k] - ref.rho11) <= 1e-15
                 assert abs(series.rho01[k] - ref.rho01) <= 1e-15
+
+
+class TestNoClickPopulations:
+    """The column kernel against the per-time scalar closed form, bit for bit."""
+
+    @staticmethod
+    def bits(rows):
+        return [tuple(x.hex() for x in row) for row in rows]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        p0=st.floats(0.0, 1.0),
+        p1=st.floats(0.0, 1.0),
+        gamma=st.floats(0.0, 1e3),
+        times=st.lists(st.floats(0.0, 1e6), max_size=12),
+    )
+    @example(p0=0.0, p1=1.0, gamma=1.0, times=[0.0, 1.0, 800.0])  # pure excited
+    @example(p0=1.0, p1=0.0, gamma=1.0, times=[0.0, 2.5])  # pure ground
+    @example(p0=0.0, p1=0.0, gamma=1.0, times=[3.0])
+    @example(p0=0.5, p1=0.5, gamma=0.0, times=[0.0, 1e6])  # no decay channel
+    @example(p0=0.5, p1=0.5, gamma=1.0, times=[745.0, 746.0, 1e4])  # exp underflows to 0
+    @example(p0=0.0, p1=0.5, gamma=1.0, times=[746.0])  # ... with p0 == 0 too: S is 0, not 0/0
+    @example(p0=0.3, p1=0.7, gamma=2.0, times=[0.0, 0.0, 1.5, 1.5])  # repeated times
+    @example(p0=0.3, p1=0.7, gamma=2.0, times=[4.0, 0.0, 2.0, 1.0])  # unsorted times
+    @example(p0=0.3, p1=0.7, gamma=2.0, times=[])
+    def test_matches_the_scalar_form_at_each_time(self, p0, p1, gamma, times):
+        columns = no_click_populations(p0, p1, gamma, times)
+        assert [len(column) for column in columns] == [len(times)] * 3
+        assert self.bits(zip(*columns)) == self.bits(no_click_populations_at(p0, p1, gamma, t) for t in times)
+
+    @pytest.mark.parametrize("times", [np.array(0.7), np.linspace(0.0, 5.0, 12).reshape(3, 4)[:, ::-1]])
+    def test_series_of_any_shape_is_the_flat_series_reshaped(self, times):
+        state, params = normalize(QubitState(0.48, 0.2 + 0.85j)), AtomParams(-0.4, 0.9, 0.7)
+        series, flat = no_jump_series(state, params, times), no_jump_series(state, params, times.ravel())
+        for name in ("times", "rho00", "rho11", "rho01"):
+            got, want = getattr(series, name), getattr(flat, name)
+            assert got.shape == times.shape
+            np.testing.assert_array_equal(got, want.reshape(times.shape))
 
 
 class TestJumpHazard:

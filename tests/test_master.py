@@ -15,6 +15,7 @@ from nullshadow.core import (
 from nullshadow.dynamics import no_jump_series
 from nullshadow.ensemble import EnsembleConfig, run_trajectories, trajectory_state_series
 from nullshadow.master import (
+    MAX_STEPS,
     DensitySeries,
     MasterRunConfig,
     _step_rk4,
@@ -224,6 +225,14 @@ class TestIntegrateMaster:
                           (5e-324, 1.0)):
             with pytest.raises(ConfigurationError):
                 MasterRunConfig(dt=dt, t_max=t_max, points=2)
+
+    def test_step_count_is_bounded(self):
+        # 10^300 and 10^17 RK4 steps would never finish; the bound refuses them at once.
+        for dt, t_max in ((1e-300, 1.0), (0.01, 1e15)):
+            with pytest.raises(ConfigurationError, match=f"step count t_max/dt=1e\\+.* exceeds {MAX_STEPS}"):
+                MasterRunConfig(dt=dt, t_max=t_max, points=50)
+        assert MasterRunConfig(dt=1.0, t_max=float(MAX_STEPS), points=2).n_steps == MAX_STEPS
+        assert MasterRunConfig(dt=0.0002, t_max=10.0, points=50).n_steps == 50_000  # oracle-fine's window
 
     def test_stride_follows_from_the_window(self):
         for dt, t_max, points, stride in ((0.01, 1.0, 50, 2), (0.0002, 10.0, 50, 1020), (0.01, 1.0, 1000, 1),
