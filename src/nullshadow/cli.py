@@ -238,7 +238,7 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     times = time_grid(args.horizon, args.grid)
     # The fidelity with |g> of the pure conditioned state is its rho00.
     rho11, rho00, _ = no_click_populations(p0, p1, params.gamma, times)
-    rows = [list(row) for row in zip(times, rho11, rho00)]
+    rows = list(zip(times, rho11, rho00))
     summary = {"final_excited_prob": rho11[-1], "final_fidelity_with_ground": rho00[-1]}
     return _record(args, summary, rows)
 

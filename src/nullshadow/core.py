@@ -19,8 +19,8 @@ Conventions, fixed project-wide:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # only annotations name numpy, so importing core does not load it
     import numpy as np
@@ -30,8 +30,13 @@ class ConfigurationError(ValueError):
     """Raised when a run configuration violates its documented bounds."""
 
 
-@dataclass(frozen=True)
-class QubitState:
+@classmethod
+def _make_checked(cls, iterable):
+    """``_make`` through a record's checking ``__new__``, which the stock one and so ``_replace`` skip."""
+    return cls(*iterable)
+
+
+class QubitState(NamedTuple):
     """Pure state a0 * |ground> + a1 * |excited>."""
 
     a0: complex
@@ -53,19 +58,18 @@ class QubitState:
         return cls(complex(math.sqrt(1.0 - p1)), complex(math.sqrt(p1)))
 
 
-@dataclass(frozen=True)
-class AtomParams:
+class AtomParams(namedtuple("AtomParams", "e0 e1 gamma")):
     """Level energies and spontaneous decay rate of the excited level.
 
     ``gamma`` is the inverse mean lifetime of the excited state; the
     transition (angular) frequency is ``e1 - e0``.
     """
 
-    e0: float
-    e1: float
-    gamma: float
+    __slots__ = ()
+    _make = _make_checked
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> AtomParams:
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in (("e0", self.e0), ("e1", self.e1), ("gamma", self.gamma)):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
@@ -77,6 +81,7 @@ class AtomParams:
             raise ConfigurationError(f"decay rate must be nonnegative, got {self.gamma}")
         if not math.isfinite(self.omega):
             raise ConfigurationError(f"transition frequency e1 - e0 must be finite, got {self.omega}")
+        return self
 
     @property
     def omega(self) -> float:
@@ -84,8 +89,7 @@ class AtomParams:
         return self.e1 - self.e0
 
 
-@dataclass(frozen=True)
-class DensityMatrix2:
+class DensityMatrix2(NamedTuple):
     """2x2 density matrix stored as populations plus one coherence.
 
     ``rho01`` is the ground-row, excited-column element; the mirror
@@ -98,8 +102,7 @@ class DensityMatrix2:
     rho01: complex
 
 
-@dataclass(frozen=True)
-class DensitySeries:
+class DensitySeries(NamedTuple):
     """Density matrices on a time grid, one array per matrix entry."""
 
     times: np.ndarray

@@ -28,10 +28,10 @@ evaluated once over all the requested times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import AtomParams, ConfigurationError, DensitySeries, QubitState
+from .core import AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
 from .dynamics import checked_times, no_jump_series, sample_jump_times
 from .streams import uniforms_at
 
@@ -43,25 +43,25 @@ SLOT_PREMEASURE = 0
 SLOT_JUMP = 1
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    n_atoms: int
-    initial: QubitState
-    params: AtomParams
-    base_seed: int
-    premeasure: bool = False
+class EnsembleConfig(namedtuple("EnsembleConfig", "n_atoms initial params base_seed premeasure",
+                                defaults=(False,))):
+    """``n_atoms`` atoms prepared in ``initial`` (a QubitState) with ``params`` (AtomParams)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+    _make = _make_checked
+
+    def __new__(cls, *args, **kwargs) -> EnsembleConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_atoms < 1:
             raise ConfigurationError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigurationError("base_seed must fit in 64 unsigned bits")
         if not abs(self.initial.norm - 1.0) <= 1e-9:
             raise ConfigurationError("initial state must be normalized")
+        return self
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     """Aggregates at the requested times; counts are closed-interval (jump <= t)."""
 
     blackened_count: np.ndarray

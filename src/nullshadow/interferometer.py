@@ -23,32 +23,30 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import ConfigurationError
+from .core import ConfigurationError, _make_checked
 
 if TYPE_CHECKING:
     import numpy as np
-
-BlockerArm = Literal["a", "b"]
 
 # Where a photon can end up, in the order of DetectionProbs and of the
 # inverse-transform thresholds.
 OUTCOMES = ("D1", "D2", "Absorbed")
 
 
-@dataclass(frozen=True)
-class EVConfig:
-    """Interferometer settings; 0.5 transmissivity means a balanced splitter."""
+class EVConfig(
+    namedtuple("EVConfig", "splitter1_transmissivity splitter2_transmissivity phase_a phase_b blocker",
+               defaults=(0.5, 0.5, 0.0, 0.0, None))
+):
+    """Interferometer settings; 0.5 transmissivity is a balanced splitter; blocker is None, "a" or "b"."""
 
-    splitter1_transmissivity: float = 0.5
-    splitter2_transmissivity: float = 0.5
-    phase_a: float = 0.0
-    phase_b: float = 0.0
-    blocker: BlockerArm | None = None
+    __slots__ = ()
+    _make = _make_checked
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> EVConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name, t in (
             ("splitter1_transmissivity", self.splitter1_transmissivity),
             ("splitter2_transmissivity", self.splitter2_transmissivity),
@@ -60,6 +58,7 @@ class EVConfig:
                 raise ConfigurationError(f"{name} must be finite, got {phase}")
         if self.blocker not in (None, "a", "b"):
             raise ConfigurationError(f"blocker must be None, 'a' or 'b', got {self.blocker!r}")
+        return self
 
 
 class DetectionProbs(NamedTuple):

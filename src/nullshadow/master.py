@@ -17,10 +17,10 @@ simple and bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries
+from .core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries, _make_checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,15 +29,14 @@ if TYPE_CHECKING:
 MAX_STEPS = 10**8  # the most RK4 steps one window may take, about two minutes of stepping
 
 
-@dataclass(frozen=True)
-class MasterRunConfig:
+class MasterRunConfig(namedtuple("MasterRunConfig", "dt t_max points")):
     """Fixed-step integration window: step, horizon and about how many times to record."""
 
-    dt: float
-    t_max: float
-    points: int
+    __slots__ = ()
+    _make = _make_checked
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> MasterRunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
@@ -48,6 +47,7 @@ class MasterRunConfig:
             raise ConfigurationError(f"step count t_max/dt={self.t_max / self.dt:.3g} exceeds {MAX_STEPS}")
         if self.points < 2:
             raise ConfigurationError(f"points must be >= 2, got {self.points}")
+        return self
 
     @property
     def n_steps(self) -> int:

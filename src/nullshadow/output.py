@@ -25,8 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 
@@ -36,14 +35,13 @@ if TYPE_CHECKING:
 SCHEMA_RESOURCE = "output_record.schema.json"
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(NamedTuple):
     scenario: str
     seed: int | None
     config: dict[str, Any]
     summary: dict[str, Any]
     columns: list[str]
-    rows: list[list[Any]] | np.ndarray  # an array table is 2-D
+    rows: Sequence[Sequence[Any]] | np.ndarray  # an array table is 2-D
 
 
 # With no indent the C encoder runs; this item separator puts every cell
@@ -111,14 +109,14 @@ def load_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
-def _chunks(rows: list[list[Any]] | np.ndarray) -> Iterator[list[list[Any]]]:
+def _chunks(rows: Sequence[Sequence[Any]] | np.ndarray) -> Iterator[Sequence[Sequence[Any]]]:
     """The table in runs of _CHUNK_ROWS rows, an array's as Python lists."""
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
         yield chunk.tolist() if hasattr(chunk, "tolist") else chunk
 
 
-def _rows_json(rows: list[list[Any]] | np.ndarray) -> list[str]:
+def _rows_json(rows: Sequence[Sequence[Any]] | np.ndarray) -> list[str]:
     """Pieces of the table as json.dumps(indent=2) lays it out inside the record."""
     pieces = []
     for chunk in _chunks(rows):
@@ -130,7 +128,7 @@ def _rows_json(rows: list[list[Any]] | np.ndarray) -> list[str]:
     return pieces
 
 
-def _chunk_json(rows: list[list[Any]]) -> str:
+def _chunk_json(rows: Sequence[Sequence[Any]]) -> str:
     """The rows of one chunk, each laid out as in the record, comma-separated."""
     try:
         text = _ROWS_ENCODER.encode(rows)

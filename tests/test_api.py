@@ -1,9 +1,10 @@
 import ast
 import contextlib
-import dataclasses
 import io
 import json
+import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import nullshadow
-from nullshadow.core import AtomParams, DensityMatrix2, QubitState
+from nullshadow.core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries, QubitState
 from nullshadow.ensemble import EnsembleConfig, EnsembleStats
+from nullshadow.interferometer import EVConfig
 from nullshadow.master import MasterRunConfig
+from nullshadow.output import OutputRecord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,15 +76,54 @@ def test_removed_members_are_gone():
     for member in ("trace", "purity", "validate"):
         assert not hasattr(DensityMatrix2, member)
     # since 0.8.0 the config is the sample alone; run_ensemble takes the times
-    assert [f.name for f in dataclasses.fields(EnsembleConfig)] == [
-        "n_atoms", "initial", "params", "base_seed", "premeasure"
-    ]
-    assert [f.name for f in dataclasses.fields(EnsembleStats)] == [
-        "blackened_count", "survivor_excited_prob"
-    ]
+    assert list(EnsembleConfig._fields) == ["n_atoms", "initial", "params", "base_seed", "premeasure"]
+    assert list(EnsembleStats._fields) == ["blackened_count", "survivor_excited_prob"]
     # since 0.9.0 the oracle window is built by its constructor alone
-    assert [f.name for f in dataclasses.fields(MasterRunConfig)] == ["dt", "t_max", "points"]
+    assert list(MasterRunConfig._fields) == ["dt", "t_max", "points"]
     assert not hasattr(MasterRunConfig, "with_points")
+
+
+HALF = QubitState.from_excited_probability(0.5)
+PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
+# A validated record, a field it checks, a value it refuses there and the refusal.
+VALIDATED = {
+    "AtomParams": (PARAMS, "gamma", math.nan, "gamma must be finite, got nan"),
+    "EnsembleConfig": (EnsembleConfig(10, HALF, PARAMS, 7), "n_atoms", 0, "n_atoms must be >= 1, got 0"),
+    "EVConfig": (EVConfig(blocker="b"), "phase_a", math.inf, "phase_a must be finite, got inf"),
+    "MasterRunConfig": (MasterRunConfig(0.01, 1.0, 50), "dt", 0.0, "dt must be positive and finite, got 0.0"),
+}
+RECORDS = {
+    **{name: record for name, (record, *_) in VALIDATED.items()},
+    "QubitState": HALF,
+    "DensityMatrix2": DensityMatrix2(1.0, 0.0, 0j),
+    "DensitySeries": DensitySeries([0.0], [1.0], [0.0], [0j]),
+    "EnsembleStats": EnsembleStats([0], [0.5]),
+    "OutputRecord": OutputRecord("ev", None, {}, {}, ["outcome"], [("D1",)]),
+}
+
+
+@pytest.mark.parametrize("record, field, value, message", VALIDATED.values(), ids=VALIDATED)
+def test_replace_checks_like_the_constructor(record, field, value, message):
+    # a named tuple's _replace builds through _make, not the checking __new__
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        record._replace(**{field: value})
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        type(record)(**{**record._asdict(), field: value})
+    assert type(record._replace()) is type(record) and record._replace() == record
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], getattr(record, record._fields[1]))
+    with pytest.raises(AttributeError):
+        record.note = "added"
+
+
+@pytest.mark.parametrize("record", [record for record, *_ in VALIDATED.values()], ids=VALIDATED)
+def test_validated_records_survive_pickling(record):
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
 
 
 def test_readme_library_block_prints_what_its_comments_say():
@@ -124,7 +166,7 @@ def test_density_series_lives_in_core_which_imports_no_numpy():
     assert "numpy" not in _imported(_tree("core").body)
 
 
-def _fresh(code: str, *args: str):
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()):
     """What ``code`` prints as JSON, run in a new interpreter that imports the package from src.
 
     This process has numpy loaded already, so only a new one can show
@@ -132,7 +174,7 @@ def _fresh(code: str, *args: str):
     """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     return json.loads(proc.stdout)
@@ -189,3 +231,17 @@ def test_importing_the_cli_imports_every_module():
     loaded = _fresh('import json, sys, nullshadow.cli; print(json.dumps(sorted(sys.modules)))')
     for module in ["core", "streams", "dynamics", "ensemble", "master", "interferometer", "output"]:
         assert f"nullshadow.{module}" in loaded
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_numpy():
+    # Each is start-up time paid by every launch: dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.  -S keeps site's own imports out.
+    code = """
+import json, sys
+before = set(sys.modules)
+import nullshadow.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    new = set(_fresh(code, flags=("-S",)))
+    assert "nullshadow.cli" in new
+    assert not new & {"dataclasses", "inspect", "numpy"}
