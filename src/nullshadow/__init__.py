@@ -7,7 +7,7 @@ functions that build arrays: importing the package, ``--version``,
 configuration error caught before any array is built never load it.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .core import (
     AtomParams,

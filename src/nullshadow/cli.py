@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -315,6 +316,8 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if "numpy" not in sys.modules:  # no subcommand calls BLAS: skip OpenBLAS's start-up thread pool
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:
         record = args.func(args)

@@ -166,16 +166,18 @@ def test_density_series_lives_in_core_which_imports_no_numpy():
     assert "numpy" not in _imported(_tree("core").body)
 
 
-def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()):
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = (), env: dict[str, str] | None = None):
     """What ``code`` prints as JSON, run in a new interpreter that imports the package from src.
 
     This process has numpy loaded already, so only a new one can show
-    what the package itself imports.
+    what the package itself imports. ``env`` replaces this process's
+    environment, PYTHONPATH aside.
     """
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = os.environ if env is None else env
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code, *args],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, env={**env, "PYTHONPATH": path},
     )
     return json.loads(proc.stdout)
 

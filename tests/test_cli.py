@@ -1,7 +1,9 @@
 import contextlib
 import json
 import math
+import os
 import re
+import sys
 
 import jsonschema
 import numpy as np
@@ -18,6 +20,7 @@ from nullshadow.master import MAX_STEPS
 from nullshadow.output import load_schema
 from nullshadow.streams import uniforms_at
 from reference import read_csv_table
+from test_api import _fresh
 from test_interferometer import reference_fate
 from test_output import reference_json
 
@@ -691,6 +694,48 @@ def test_csv_and_json_tables_carry_identical_values(tmp_path):
     _, csv_rows = read_csv_table(str(cpath))
     json_rows = json.loads(jpath.read_text())["rows"]
     assert csv_rows == json_rows
+
+
+# The variables through which OpenBLAS takes its thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+SMALL_DECAY = ["decay-ensemble", "--n-atoms", "1000", "--p-excited", "0.5", "--horizon", "2", "--seed", "3"]
+
+
+def _env_without_blas_threads(**extra: str) -> dict[str, str]:
+    return {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}, **extra}
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts /proc/self/task; OpenBLAS starts no pool on one CPU",
+)
+@pytest.mark.parametrize("extra", [{}, {"OPENBLAS_NUM_THREADS": "4"}], ids=["unset", "openblas-4"])
+def test_a_run_is_one_os_thread(extra, tmp_path):
+    # numpy is loaded here already, so only a new interpreter shows the
+    # threads that loading it starts.
+    code = """
+import json, os, sys
+from nullshadow import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, len(os.listdir("/proc/self/task"))]))
+"""
+    out, reference = tmp_path / "child.csv", tmp_path / "reference.csv"
+    argv = SMALL_DECAY + ["--out", str(out)]
+    assert _fresh(code, json.dumps(argv), env=_env_without_blas_threads(**extra)) == [0, 1]
+    assert run_cli(SMALL_DECAY + ["--out", str(reference)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_importing_the_cli_sets_no_blas_variable():
+    code = 'import json, os, nullshadow, nullshadow.cli; print(json.dumps("OPENBLAS_NUM_THREADS" in os.environ))'
+    assert _fresh(code, env=_env_without_blas_threads()) is False
+
+
+def test_a_run_after_numpy_leaves_the_environment_alone(tmp_path):
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert run_cli(SMALL_DECAY + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert dict(os.environ) == before
 
 
 # Every float flag takes any float, NaN and infinities included, a
