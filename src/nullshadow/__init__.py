@@ -1,10 +1,11 @@
 """Stochastic trajectory simulator for a decaying two-level atom and a
 two-beam-splitter interferometer, with a Lindblad master-equation oracle.
 
-Every module is imported here, but numpy is imported only inside the
-functions that build arrays: importing the package, ``--version``,
-``--help``, ``ev`` without ``--shots``, ``conditional-state`` and a
-configuration error caught before any array is built never load it.
+Every module is imported here, but numpy is imported in one place,
+:mod:`nullshadow._np`, at the first attribute that a function reads from
+it: importing the package, ``--version``, ``--help``, ``ev`` without
+``--shots``, ``conditional-state`` and a configuration error caught
+before any array is built never load it.
 """
 
 __version__ = "0.14.0"

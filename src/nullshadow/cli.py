@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import __version__
+from . import __version__, _np as np
 from .core import AtomParams, ConfigurationError, QubitState, density_from_state, normalize
 from .dynamics import no_click_populations
 from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
@@ -217,15 +217,11 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
         n_atoms=args.n_atoms, initial=initial, params=params, base_seed=args.seed,
         premeasure=args.premeasure,
     )
-    import numpy as np
-
-    times = np.asarray(time_grid(args.horizon, args.grid))
+    times = time_grid(args.horizon, args.grid)
     stats = run_ensemble(cfg, times)
-    rows = [
-        [float(t), int(c), int(c) / cfg.n_atoms, float(p)]
-        for t, c, p in zip(times, stats.blackened_count, stats.survivor_excited_prob)
-    ]
-    final = int(stats.blackened_count[-1])
+    counts, excited = stats.blackened_count.tolist(), stats.survivor_excited_prob.tolist()
+    rows = [[t, c, c / cfg.n_atoms, p] for t, c, p in zip(times, counts, excited)]
+    final = counts[-1]
     summary = {"fraction_blackened_final": final / cfg.n_atoms, "blackened_final": final}
     a0, a1 = [initial.a0.real, initial.a0.imag], [initial.a1.real, initial.a1.imag]
     return _record(args, summary, rows, a0=a0, a1=a1, p_excited=initial.excited_population)
@@ -264,8 +260,6 @@ def cmd_ev(args: argparse.Namespace) -> OutputRecord:
         "shots": args.shots,
     }
     if args.shots > 0:
-        import numpy as np
-
         counts = count_outcomes(probs, uniforms_at(args.seed, np.arange(args.shots), 0))
         summary["counts"] = dict(zip(OUTCOMES, counts))
         columns = ["outcome", "probability", "count", "frequency"]
@@ -292,8 +286,6 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
     jump_times = run_trajectories(ecfg)
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
     deviation = max_elementwise_deviation(averaged, series)
-
-    import numpy as np
 
     analytic = np.array([args.p_excited * math.exp(-args.gamma * t) for t in series.times.tolist()])
     population_error = float(np.max(np.abs(series.rho11 - analytic)))

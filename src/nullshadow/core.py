@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-if TYPE_CHECKING:  # only annotations name numpy, so importing core does not load it
-    import numpy as np
+from . import _np as np
 
 
 class ConfigurationError(ValueError):

@@ -24,12 +24,9 @@ caller; there is no hidden generator state.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from .core import AtomParams, DensitySeries, QubitState
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np.ndarray:
@@ -41,8 +38,6 @@ def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np
     no decay channel and every time is ``inf``.  ``p1`` is one weight
     shared by all atoms, or one weight per atom.
     """
-    import numpy as np
-
     u = np.asarray(u, dtype=float)
     p1 = np.broadcast_to(np.asarray(p1, dtype=float), u.shape)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
@@ -58,8 +53,6 @@ def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np
 
 def checked_times(times: np.ndarray) -> np.ndarray:
     """``times`` as a float array, each nonnegative (NaN is rejected)."""
-    import numpy as np
-
     times = np.asarray(times, dtype=float)
     if times.size and not times.min() >= 0.0:
         raise ValueError(f"time must be nonnegative, got {times.min()}")
@@ -93,8 +86,6 @@ def no_jump_series(initial: QubitState, params: AtomParams, times: np.ndarray) -
     excited state (p0 == 0) stays excited with rho01 = 0.  ``rho01`` is
     NaN where omega * t overflows.
     """
-    import numpy as np
-
     times = checked_times(times)
     p0, p1 = abs(initial.a0) ** 2, abs(initial.a1) ** 2
     if p0 == 0.0:

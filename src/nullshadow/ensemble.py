@@ -29,14 +29,12 @@ evaluated once over all the requested times.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _np as np
 from .core import AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
 from .dynamics import checked_times, no_jump_series, sample_jump_times
 from .streams import uniforms_at
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Fixed draw-slot layout of each atom's substream.
 SLOT_PREMEASURE = 0
@@ -76,8 +74,6 @@ def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = N
     variant reuses the very same jump variates.  ``weights`` are the
     excited probabilities at t = 0 when the caller has drawn them already.
     """
-    import numpy as np
-
     if weights is None:
         weights = _excited_weights(cfg)
     u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_JUMP)
@@ -90,8 +86,6 @@ def run_ensemble(cfg: EnsembleConfig, times: np.ndarray) -> EnsembleStats:
     The times may come in any order and may repeat; each must be
     nonnegative (NaN is rejected).
     """
-    import numpy as np
-
     times = checked_times(times)
     weights = _excited_weights(cfg)
     jump_times = run_trajectories(cfg, weights)
@@ -125,8 +119,6 @@ def trajectory_state_series(
     (jump time <= t; ``inf`` means no jump) and the projector of the
     conditioned state that every other trajectory shares.
     """
-    import numpy as np
-
     if len(jump_times) == 0:
         raise ValueError("jump_times is empty: no trajectories to describe")
     jumped = np.searchsorted(np.sort(jump_times), times, side="right") / len(jump_times)
@@ -138,7 +130,5 @@ def _excited_weights(cfg: EnsembleConfig) -> float | np.ndarray:
     p1 = cfg.initial.excited_population
     if not cfg.premeasure:
         return p1
-    import numpy as np
-
     u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE)
     return (u < p1).astype(float)

@@ -24,12 +24,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _np as np
 from .core import ConfigurationError, _make_checked
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Where a photon can end up, in the order of DetectionProbs and of the
 # inverse-transform thresholds.
@@ -88,8 +86,6 @@ def count_outcomes(probs: DetectionProbs, u: np.ndarray) -> tuple[int, int, int]
     Inverse transform in the order of OUTCOMES: u < p_d1 is a D1 click,
     u < p_d1 + p_d2 a D2 click, and the rest is absorbed.
     """
-    import numpy as np
-
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("uniform variates must lie in [0, 1)")

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
+from . import _np as np
 from .core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries, _make_checked
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 MAX_STEPS = 10**8  # the most RK4 steps one window may take, about two minutes of stepping
 
@@ -97,8 +93,6 @@ def integrate_master(
             f"dt={cfg.dt} exceeds stability bound {bound:.3g} for gamma={params.gamma}, "
             f"omega={params.omega}"
         )
-    import numpy as np
-
     n_steps, dt, gamma = cfg.n_steps, cfg.dt, params.gamma
     rate = 1j * params.omega - 0.5 * params.gamma
     # Step counts at the recorded points; each run of steps between two is one inner loop.
@@ -140,8 +134,6 @@ def max_elementwise_deviation(a: DensitySeries, b: DensitySeries) -> float:
     NaN if any entry is NaN, so a tolerance check on the result fails.  Unlike
     numpy's complex ``abs``, ``np.hypot`` rounds alike on every SIMD target.
     """
-    import numpy as np
-
     if len(a.times) != len(b.times):
         raise ValueError(f"series lengths differ: {len(a.times)} vs {len(b.times)}")
     d01 = a.rho01 - b.rho01

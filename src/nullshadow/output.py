@@ -25,12 +25,9 @@ import io
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Iterator, NamedTuple, Sequence, TextIO
 
-from . import __version__
-
-if TYPE_CHECKING:
-    import numpy as np
+from . import __version__, _np as np
 
 SCHEMA_RESOURCE = "output_record.schema.json"
 

@@ -15,10 +15,7 @@ provided and produce identical values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from . import _np as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -47,8 +44,6 @@ def uniform_at(base_seed: int, index: int, slot: int) -> float:
 
 def uniforms_at(base_seed: int, indices: np.ndarray, slot: int) -> np.ndarray:
     """Vectorized ``uniform_at`` over an array of substream indices."""
-    import numpy as np
-
     idx = np.asarray(indices, dtype=np.uint64)
     base = np.uint64((base_seed + GOLDEN) & MASK64)
     slot_off = np.uint64((GOLDEN * (slot + 1)) & MASK64)
@@ -58,8 +53,6 @@ def uniforms_at(base_seed: int, indices: np.ndarray, slot: int) -> np.ndarray:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))

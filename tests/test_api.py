@@ -162,8 +162,16 @@ def test_the_sampler_does_not_import_its_oracle(module):
 
 def test_density_series_lives_in_core_which_imports_no_numpy():
     assert nullshadow.DensitySeries is nullshadow.core.DensitySeries is nullshadow.master.DensitySeries
-    # numpy appears there only under TYPE_CHECKING, for the DensitySeries annotations
-    assert "numpy" not in _imported(_tree("core").body)
+    # numpy is named in _np alone, which loads it at the first attribute a
+    # function reads; an import anywhere else, even in a function body or a
+    # TYPE_CHECKING block, is a second place that decides when numpy loads.
+    for path in sorted(Path(nullshadow.__file__).parent.glob("*.py")):
+        if path.stem == "_np":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        assert not {m for m in _imported(nodes) if m.split(".")[0] == "numpy"}, path.name
+        names = {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "TYPE_CHECKING" not in names, path.name
 
 
 def _fresh(code: str, *args: str, flags: tuple[str, ...] = (), env: dict[str, str] | None = None):
@@ -231,8 +239,22 @@ def test_importing_the_cli_imports_every_module():
     # perfbench/replay.py wraps the functions of the modules that are
     # loaded once nullshadow.cli is; one imported later would go untraced.
     loaded = _fresh('import json, sys, nullshadow.cli; print(json.dumps(sorted(sys.modules)))')
-    for module in ["core", "streams", "dynamics", "ensemble", "master", "interferometer", "output"]:
+    modules = [path.stem for path in Path(nullshadow.__file__).parent.glob("*.py")]
+    for module in set(modules) - {"__init__", "__main__"}:
         assert f"nullshadow.{module}" in loaded
+
+
+def test_np_forwards_numpy_names_but_no_dunder():
+    # Without the dunder guard _np would hand out numpy's __path__ and
+    # pass for a package, and any such probe would load numpy.
+    code = """
+import json, sys
+import nullshadow._np as _np
+probes = [hasattr(_np, "__path__"), hasattr(_np, "__all__"), "numpy" in sys.modules]
+import numpy
+print(json.dumps([*probes, _np.float64 is numpy.float64, hasattr(_np, "no_such_numpy_name")]))
+"""
+    assert _fresh(code) == [False, False, False, True, False]
 
 
 def test_the_cli_imports_no_dataclasses_inspect_or_numpy():
