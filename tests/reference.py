@@ -1,10 +1,11 @@
 """Reference implementations that the tests hold the package to.
 
-No subcommand runs these, so they live with the tests: the generator that
-the RK4 step is held bit-equal to, the state check, the mean blackening
-law, a typed CSV reader, the two basis states, and the scalar no-click
-state that ``dynamics.no_jump_series`` is compared with, and the per-time
-closed form that ``dynamics.no_click_populations`` is held bit-equal to.
+No subcommand runs these, so they live with the tests: the generator and
+the staged RK4 step built from it, which the package's step is held
+within rounding of, the state check, the mean blackening law, a typed CSV
+reader, the two basis states, and the scalar no-click state that
+``dynamics.no_jump_series`` is compared with, and the per-time closed form
+that ``dynamics.no_click_populations`` is held bit-equal to.
 """
 
 import cmath
@@ -41,8 +42,7 @@ def lindblad_rhs(rho, params):
     """Time derivative of the density matrix (traceless by construction).
 
     This is the generator in the ``nullshadow.master`` docstring, as
-    ``DensityMatrix2`` values; ``master._step_rk4`` repeats its IEEE
-    operations in the same order.
+    ``DensityMatrix2`` values.
     """
     flow = params.gamma * rho.rho11
     return DensityMatrix2(
@@ -50,6 +50,30 @@ def lindblad_rhs(rho, params):
         rho11=-flow,
         rho01=(1j * params.omega - 0.5 * params.gamma) * rho.rho01,
     )
+
+
+def reference_step_rk4(rho, params, dt):
+    """Classical RK4 step staged from four calls of lindblad_rhs, k1 to k4.
+
+    ``master._step_rk4`` takes the same step as one multiply-add by the
+    stability polynomial's increment, so the two agree within rounding,
+    not bit for bit.
+    """
+    k1 = lindblad_rhs(rho, params)
+    k2 = lindblad_rhs(reference_shift(rho, k1, 0.5 * dt), params)
+    k3 = lindblad_rhs(reference_shift(rho, k2, 0.5 * dt), params)
+    k4 = lindblad_rhs(reference_shift(rho, k3, dt), params)
+    sixth = dt / 6.0
+    return DensityMatrix2(
+        rho00=rho.rho00 + sixth * (k1.rho00 + 2.0 * k2.rho00 + 2.0 * k3.rho00 + k4.rho00),
+        rho11=rho.rho11 + sixth * (k1.rho11 + 2.0 * k2.rho11 + 2.0 * k3.rho11 + k4.rho11),
+        rho01=rho.rho01 + sixth * (k1.rho01 + 2.0 * k2.rho01 + 2.0 * k3.rho01 + k4.rho01),
+    )
+
+
+def reference_shift(rho, d, h):
+    """The RK4 stage point rho + h * d."""
+    return DensityMatrix2(rho.rho00 + h * d.rho00, rho.rho11 + h * d.rho11, rho.rho01 + h * d.rho01)
 
 
 def check_state(rho, atol=1e-9):
