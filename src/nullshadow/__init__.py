@@ -8,15 +8,13 @@ it: importing the package, ``--version``, ``--help``, ``ev`` without
 before any array is built never load it.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .core import (
     AtomParams,
     ConfigurationError,
-    DensityMatrix2,
     DensitySeries,
     QubitState,
-    density_from_state,
     normalize,
 )
 from .dynamics import (
@@ -46,9 +44,7 @@ __all__ = [
     "__version__",
     "AtomParams",
     "ConfigurationError",
-    "DensityMatrix2",
     "QubitState",
-    "density_from_state",
     "normalize",
     "no_jump_series",
     "sample_jump_times",

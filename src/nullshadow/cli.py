@@ -26,7 +26,7 @@ import sys
 from typing import Sequence
 
 from . import __version__, _np as np
-from .core import AtomParams, ConfigurationError, QubitState, density_from_state, normalize
+from .core import MAX_COUNT, AtomParams, ConfigurationError, QubitState, normalize
 from .dynamics import no_click_populations
 from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
 from .interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
@@ -175,6 +175,8 @@ def _check_window(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"horizon must be positive and finite, got {args.horizon}")
     if args.grid < 2:
         raise ConfigurationError(f"grid must be >= 2, got {args.grid}")
+    if args.grid > MAX_COUNT:
+        raise ConfigurationError(f"grid must be <= {MAX_COUNT}, got {args.grid}")
 
 
 def time_grid(horizon: float, points: int) -> list[float]:
@@ -251,6 +253,8 @@ def cmd_ev(args: argparse.Namespace) -> OutputRecord:
     probs = detection_probs(cfg)
     if args.shots < 0:
         raise ConfigurationError(f"shots must be nonnegative, got {args.shots}")
+    if args.shots > MAX_COUNT:
+        raise ConfigurationError(f"shots must be <= {MAX_COUNT}, got {args.shots}")
     if not 0 <= args.seed < 2**64:
         raise ConfigurationError("seed must fit in 64 unsigned bits")
     summary = {
@@ -275,6 +279,8 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
     params = AtomParams(e0=args.e0, e1=args.e1, gamma=args.gamma)
     if args.n_traj < 1:
         raise ConfigurationError(f"n-traj must be >= 1, got {args.n_traj}")
+    if args.n_traj > MAX_COUNT:
+        raise ConfigurationError(f"n-traj must be <= {MAX_COUNT}, got {args.n_traj}")
     _check_window(args)
     tol = args.tol if args.tol is not None else 5.0 / math.sqrt(args.n_traj)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -282,7 +288,8 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
 
     ecfg = EnsembleConfig(n_atoms=args.n_traj, initial=initial, params=params, base_seed=args.seed)
     mcfg = MasterRunConfig(dt=args.dt, t_max=args.horizon, points=args.grid)
-    series = integrate_master(density_from_state(initial), params, mcfg)
+    a0, a1 = initial
+    series = integrate_master((abs(a0) ** 2, abs(a1) ** 2, a0 * a1.conjugate()), params, mcfg)
     jump_times = run_trajectories(ecfg)
     averaged = average_trajectories(*trajectory_state_series(initial, params, jump_times, series.times))
     deviation = max_elementwise_deviation(averaged, series)

@@ -2,18 +2,15 @@
 
 A pure state of the atom is a pair of complex amplitudes over the energy
 basis (ground, excited).  Everything in this module is a pure function on
-immutable value types: normalization and the projector / density-matrix
-view used by the master-equation oracle.  Time evolution lives in
-:mod:`nullshadow.dynamics`.
+immutable value types: normalization, and the density-matrix series that
+the master-equation oracle and the trajectory average share.  Time
+evolution lives in :mod:`nullshadow.dynamics`.
 
 Conventions, fixed project-wide:
   * natural units, action constant = 1; energies are angular frequencies,
     so a state picks up the phase exp(-i * E * t) per level;
   * global phase is kept as-is; states are compared through their
-    projectors (``density_from_state``), which do not see it;
-  * the coherence stored in ``DensityMatrix2.rho01`` is the ground-row,
-    excited-column matrix element, i.e. ``a0 * conj(a1)`` for a pure
-    state; under free evolution it rotates as exp(+i * (e1 - e0) * t).
+    projectors (``dynamics.no_jump_series``), which do not see it.
 """
 
 from __future__ import annotations
@@ -23,6 +20,8 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from . import _np as np
+
+MAX_COUNT = 2**53  # the most atoms, shots or grid times one run takes: as many floats fill 64 PiB
 
 
 class ConfigurationError(ValueError):
@@ -88,21 +87,12 @@ class AtomParams(namedtuple("AtomParams", "e0 e1 gamma")):
         return self.e1 - self.e0
 
 
-class DensityMatrix2(NamedTuple):
-    """2x2 density matrix stored as populations plus one coherence.
-
-    ``rho01`` is the ground-row, excited-column element; the mirror
-    element is its conjugate by Hermiticity.  No invariant (unit trace,
-    positivity) is enforced at construction.
-    """
-
-    rho00: float
-    rho11: float
-    rho01: complex
-
-
 class DensitySeries(NamedTuple):
-    """Density matrices on a time grid, one array per matrix entry."""
+    """Density matrices on a time grid, one array per matrix entry.
+
+    ``rho01`` is the ground-row, excited-column element, ``a0 * conj(a1)``
+    for a pure state; it rotates as exp(+i * (e1 - e0) * t).
+    """
 
     times: np.ndarray
     rho00: np.ndarray
@@ -130,12 +120,3 @@ def normalize(state: QubitState) -> QubitState:
     if n == 0.0:
         raise ValueError("null state")
     return QubitState(scaled.a0 / n, scaled.a1 / n)
-
-
-def density_from_state(state: QubitState) -> DensityMatrix2:
-    """Projector onto a pure state, in the fixed coherence convention."""
-    return DensityMatrix2(
-        rho00=abs(state.a0) ** 2,
-        rho11=abs(state.a1) ** 2,
-        rho01=state.a0 * state.a1.conjugate(),
-    )

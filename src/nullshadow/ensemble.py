@@ -32,7 +32,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from . import _np as np
-from .core import AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
+from .core import MAX_COUNT, AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
 from .dynamics import checked_times, no_jump_series, sample_jump_times
 from .streams import uniforms_at
 
@@ -52,6 +52,8 @@ class EnsembleConfig(namedtuple("EnsembleConfig", "n_atoms initial params base_s
         self = super().__new__(cls, *args, **kwargs)
         if self.n_atoms < 1:
             raise ConfigurationError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        if self.n_atoms > MAX_COUNT:
+            raise ConfigurationError(f"n_atoms must be <= {MAX_COUNT}, got {self.n_atoms}")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigurationError("base_seed must fit in 64 unsigned bits")
         if not abs(self.initial.norm - 1.0) <= 1e-9:

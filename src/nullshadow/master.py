@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from . import _np as np
-from .core import AtomParams, ConfigurationError, DensityMatrix2, DensitySeries, _make_checked
+from .core import AtomParams, ConfigurationError, DensitySeries, _make_checked
 
 MAX_STEPS = 10**8  # the most RK4 steps one window may take, 20-30 s of stepping at 0.2-0.3 us a step
 
@@ -82,12 +82,14 @@ def _step_rk4(
 
 
 def integrate_master(
-    rho0: DensityMatrix2, params: AtomParams, cfg: MasterRunConfig
+    rho0: tuple[float, float, complex], params: AtomParams, cfg: MasterRunConfig
 ) -> DensitySeries:
     """Integrate from rho0 over [0, t_max], recording every cfg.record_every steps.
 
-    The final step is always recorded.  Raises ConfigurationError when dt
-    violates the stability bound 0.1 / max(gamma, e1 - e0).
+    ``rho0`` is the start (rho00, rho11, rho01), pure or mixed, with the
+    coherence of ``DensitySeries.rho01``.  The final step is always
+    recorded.  Raises ConfigurationError when dt violates the stability
+    bound 0.1 / max(gamma, e1 - e0).
     """
     bound = 0.1 / max(params.gamma, params.omega, 1e-12)
     if cfg.dt > bound:
@@ -100,7 +102,7 @@ def integrate_master(
     turn = _rk4_increment((1j * params.omega - 0.5 * params.gamma) * dt)
     # Step counts at the recorded points; each run of steps between two is one inner loop.
     marks = [0, *range(cfg.record_every, n_steps, cfg.record_every), n_steps]
-    rho00, rho11, rho01 = rho0.rho00, rho0.rho11, rho0.rho01
+    rho00, rho11, rho01 = rho0
     states = [(rho00, rho11, rho01)]
     for start, stop in zip(marks, marks[1:]):
         for _ in range(stop - start):

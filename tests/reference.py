@@ -1,9 +1,10 @@
 """Reference implementations that the tests hold the package to.
 
-No subcommand runs these, so they live with the tests: the generator and
-the staged RK4 step built from it, which the package's step is held
-within rounding of, the state check, the mean blackening law, a typed CSV
-reader, the two basis states, and the scalar no-click state that
+No subcommand runs these, so they live with the tests: one density
+matrix and the projector onto a pure state, the generator and the staged
+RK4 step built from it, which the package's step is held within rounding
+of, the state check, the mean blackening law, a typed CSV reader, the two
+basis states, and the scalar no-click state that
 ``dynamics.no_jump_series`` is compared with, and the per-time closed form
 that ``dynamics.no_click_populations`` is held bit-equal to.
 """
@@ -11,8 +12,32 @@ that ``dynamics.no_click_populations`` is held bit-equal to.
 import cmath
 import csv
 import math
+from typing import NamedTuple
 
-from nullshadow.core import DensityMatrix2, QubitState, normalize
+from nullshadow.core import QubitState, normalize
+
+
+class DensityMatrix2(NamedTuple):
+    """2x2 density matrix as its two populations and the coherence of ``DensitySeries.rho01``.
+
+    The mirror element is the conjugate of ``rho01``.  No invariant (unit
+    trace, positivity) is enforced; ``check_state`` asserts them.  The
+    package's ``integrate_master`` takes one as its start.
+    """
+
+    rho00: float
+    rho11: float
+    rho01: complex
+
+
+def density_from_state(state):
+    """Projector onto a pure state: the same three expressions as ``master-check``'s oracle start."""
+    return DensityMatrix2(
+        rho00=abs(state.a0) ** 2,
+        rho11=abs(state.a1) ** 2,
+        rho01=state.a0 * state.a1.conjugate(),
+    )
+
 
 GROUND = QubitState(1.0 + 0.0j, 0.0j)
 EXCITED = QubitState(0.0j, 1.0 + 0.0j)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from nullshadow.core import AtomParams, QubitState, density_from_state
+from nullshadow.core import AtomParams, QubitState
 from nullshadow.dynamics import no_jump_series
 from nullshadow.ensemble import (
     EnsembleConfig,
@@ -27,6 +27,7 @@ from nullshadow.master import (
     max_elementwise_deviation,
 )
 from nullshadow.streams import uniforms_at
+from reference import density_from_state
 
 SEED = 42
 HALF = QubitState.from_excited_probability(0.5)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nullshadow import cli
 from nullshadow.cli import build_parser, main, time_grid
-from nullshadow.core import AtomParams, QubitState
+from nullshadow.core import MAX_COUNT, AtomParams, QubitState
 from nullshadow.dynamics import no_jump_series
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from nullshadow.master import MAX_STEPS
@@ -253,16 +253,40 @@ WINDOW_ERRORS = [
     (["--horizon=nan"], "horizon must be positive and finite, got nan"),
     (["--horizon=inf"], "horizon must be positive and finite, got inf"),
     (["--grid", "1"], "grid must be >= 2, got 1"),
+    (["--grid", str(2**63)], f"grid must be <= 9007199254740992, got {2**63}"),
 ]
 
 
 @pytest.mark.parametrize("base", [DECAY, COND, MASTER], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("flags, message", WINDOW_ERRORS, ids=["horizon=0", "horizon=nan", "horizon=inf", "grid=1"])
+@pytest.mark.parametrize("flags, message", WINDOW_ERRORS,
+                         ids=["horizon=0", "horizon=nan", "horizon=inf", "grid=1", "grid=2**63"])
 def test_window_error_lines(base, flags, message, capsys):
     assert run_cli(base + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"nullshadow: error: {message}\n"
+
+
+# Each count flag, the run it is given to, and the name its refusal uses.
+# Near 2**63 numpy's arange sampled nothing and the run exited 0; above
+# 2**53 it ran out of memory; a --grid of 2**63 overflowed the list of times.
+COUNT_FLAGS = {
+    "n-atoms": (DECAY, "n_atoms"),
+    "n-traj": (MASTER, "n-traj"),
+    "shots": (["ev"], "shots"),
+    "grid": (COND, "grid"),
+}
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 2**63 - 1, 2**63, 2**64],
+                         ids=["2**53+1", "2**63-1", "2**63", "2**64"])
+@pytest.mark.parametrize("flag", COUNT_FLAGS)
+def test_counts_past_the_bound_exit_2_with_one_line(flag, value, capsys):
+    base, name = COUNT_FLAGS[flag]
+    assert run_cli(base + [f"--{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nullshadow: error: {name} must be <= {MAX_COUNT}, got {value}\n"
 
 
 @pytest.mark.parametrize("scale", ["1e-320", "1.7e308"])
@@ -740,16 +764,22 @@ def test_a_run_after_numpy_leaves_the_environment_alone(tmp_path):
 
 # Every float flag takes any float, NaN and infinities included, a
 # quarter of the time and a value in its valid range otherwise, so that
-# valid runs occur too; counts stay small so a run is cheap.
+# valid runs occur too; counts stay small so a run is cheap, but for a
+# quarter of the draws past MAX_COUNT, which are refused at once.
 def floats(low, high):
     in_range = st.floats(min_value=low, max_value=high)
     return st.integers(0, 3).flatmap(lambda k: st.floats() if k == 0 else in_range)
 
 
+def counts(low, high):
+    in_range = st.integers(low, high)
+    return st.integers(0, 3).flatmap(lambda k: st.integers(MAX_COUNT + 1, 2**70) if k == 0 else in_range)
+
+
 PROB = floats(0.0, 1.0)
 SEED = st.integers(min_value=-1, max_value=2**64)
 ATOM = [("gamma", floats(0.0, 4.0)), ("e0", floats(-2.0, 0.0)), ("e1", floats(0.0, 4.0))]
-GRID = ("grid", st.integers(0, 6))
+GRID = ("grid", counts(0, 6))
 
 
 def _flags(draw, optional, required=()):
@@ -773,7 +803,7 @@ def cli_argv(draw):
         argv = _flags(
             draw,
             state + ATOM + [GRID, ("seed", SEED)],
-            [("n-atoms", st.integers(-1, 40)), ("horizon", floats(0.0, 4.0))],
+            [("n-atoms", counts(-1, 40)), ("horizon", floats(0.0, 4.0))],
         )
         if draw(st.booleans()):
             argv.append("--premeasure")
@@ -788,7 +818,7 @@ def cli_argv(draw):
         argv = _flags(
             draw,
             [("blocker", st.sampled_from(["none", "a", "b"])), ("t1", PROB), ("t2", PROB),
-             ("phase-a", phase), ("phase-b", phase), ("shots", st.integers(-1, 40)),
+             ("phase-a", phase), ("phase-b", phase), ("shots", counts(-1, 40)),
              ("seed", SEED)],
         )
     else:
@@ -802,7 +832,7 @@ def cli_argv(draw):
         argv = [f"--horizon={horizon}", f"--dt={dt}"] + _flags(
             draw,
             ATOM + [GRID, ("seed", SEED), ("tol", floats(0.0, 1.0))],
-            [("p-excited", PROB), ("n-traj", st.integers(-1, 20))],
+            [("p-excited", PROB), ("n-traj", counts(-1, 20))],
         )
     return [command, *argv, "--format", draw(st.sampled_from(["csv", "json"]))]
 

@@ -8,13 +8,11 @@ import pytest
 from nullshadow.core import (
     AtomParams,
     ConfigurationError,
-    DensityMatrix2,
     QubitState,
-    density_from_state,
     normalize,
 )
 from nullshadow.dynamics import no_jump_series
-from reference import EXCITED, GROUND, check_state
+from reference import EXCITED, GROUND, DensityMatrix2, check_state, density_from_state
 
 HALF = QubitState.from_excited_probability(0.5)
 PARAMS = AtomParams(e0=0.3, e1=1.7, gamma=1.0)

@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 from nullshadow.cli import _check_window
 from nullshadow.core import (
     AtomParams,
-    DensityMatrix2,
     QubitState,
-    density_from_state,
     normalize,
 )
 from nullshadow.dynamics import no_click_populations, no_jump_series, sample_jump_times
 from nullshadow.master import MasterRunConfig, integrate_master
 from nullshadow.streams import uniforms_at
-from reference import EXCITED, GROUND, no_click_populations_at, reference_no_jump
+from reference import (
+    EXCITED,
+    GROUND,
+    DensityMatrix2,
+    density_from_state,
+    no_click_populations_at,
+    reference_no_jump,
+)
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)

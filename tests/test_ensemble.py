@@ -7,7 +7,6 @@ from nullshadow.core import (
     AtomParams,
     ConfigurationError,
     QubitState,
-    density_from_state,
 )
 from nullshadow.dynamics import no_jump_series, sample_jump_times
 from nullshadow.ensemble import (
@@ -19,7 +18,7 @@ from nullshadow.ensemble import (
     trajectory_state_series,
 )
 from nullshadow.streams import uniform_at, uniforms_at
-from reference import EXCITED, GROUND, expected_blackened, reference_no_jump
+from reference import EXCITED, GROUND, density_from_state, expected_blackened, reference_no_jump
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)

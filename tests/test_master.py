@@ -7,9 +7,7 @@ import pytest
 from nullshadow.core import (
     AtomParams,
     ConfigurationError,
-    DensityMatrix2,
     QubitState,
-    density_from_state,
 )
 from nullshadow.dynamics import no_jump_series
 from nullshadow.ensemble import EnsembleConfig, run_trajectories, trajectory_state_series
@@ -23,7 +21,15 @@ from nullshadow.master import (
     integrate_master,
     max_elementwise_deviation,
 )
-from reference import EXCITED, check_state, lindblad_rhs, reference_no_jump, reference_step_rk4
+from reference import (
+    EXCITED,
+    DensityMatrix2,
+    check_state,
+    density_from_state,
+    lindblad_rhs,
+    reference_no_jump,
+    reference_step_rk4,
+)
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
