@@ -23,7 +23,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import __version__, _np as np
 from .core import MAX_COUNT, AtomParams, ConfigurationError, QubitState, normalize

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
-
-from . import _np as np
 
 MAX_COUNT = 2**53  # the most atoms, shots or grid times one run takes: as many floats fill 64 PiB
 
@@ -34,11 +31,10 @@ def _make_checked(cls, iterable):
     return cls(*iterable)
 
 
-class QubitState(NamedTuple):
-    """Pure state a0 * |ground> + a1 * |excited>."""
+class QubitState(namedtuple("QubitState", "a0 a1")):
+    """Pure state a0 * |ground> + a1 * |excited>, two complex amplitudes."""
 
-    a0: complex
-    a1: complex
+    __slots__ = ()
 
     @property
     def excited_population(self) -> float:
@@ -87,17 +83,14 @@ class AtomParams(namedtuple("AtomParams", "e0 e1 gamma")):
         return self.e1 - self.e0
 
 
-class DensitySeries(NamedTuple):
-    """Density matrices on a time grid, one array per matrix entry.
+class DensitySeries(namedtuple("DensitySeries", "times rho00 rho11 rho01")):
+    """Density matrices on a time grid, one numpy array per matrix entry.
 
     ``rho01`` is the ground-row, excited-column element, ``a0 * conj(a1)``
     for a pure state; it rotates as exp(+i * (e1 - e0) * t).
     """
 
-    times: np.ndarray
-    rho00: np.ndarray
-    rho11: np.ndarray
-    rho01: np.ndarray
+    __slots__ = ()
 
 
 def normalize(state: QubitState) -> QubitState:

@@ -29,7 +29,6 @@ evaluated once over all the requested times.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from . import _np as np
 from .core import MAX_COUNT, AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
@@ -61,11 +60,10 @@ class EnsembleConfig(namedtuple("EnsembleConfig", "n_atoms initial params base_s
         return self
 
 
-class EnsembleStats(NamedTuple):
-    """Aggregates at the requested times; counts are closed-interval (jump <= t)."""
+class EnsembleStats(namedtuple("EnsembleStats", "blackened_count survivor_excited_prob")):
+    """Aggregates at the requested times, two numpy arrays; counts are closed-interval (jump <= t)."""
 
-    blackened_count: np.ndarray
-    survivor_excited_prob: np.ndarray
+    __slots__ = ()
 
 
 def run_trajectories(cfg: EnsembleConfig, weights: float | np.ndarray | None = None) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from . import _np as np
 from .core import ConfigurationError, _make_checked
@@ -59,10 +58,7 @@ class EVConfig(
         return self
 
 
-class DetectionProbs(NamedTuple):
-    p_d1: float
-    p_d2: float
-    p_absorbed: float
+DetectionProbs = namedtuple("DetectionProbs", "p_d1 p_d2 p_absorbed")  # three floats
 
 
 def detection_probs(cfg: EVConfig) -> DetectionProbs:

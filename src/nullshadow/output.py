@@ -25,20 +25,17 @@ import io
 import json
 import math
 import sys
-from typing import Any, Iterator, NamedTuple, Sequence, TextIO
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from . import __version__, _np as np
 
 SCHEMA_RESOURCE = "output_record.schema.json"
 
 
-class OutputRecord(NamedTuple):
-    scenario: str
-    seed: int | None
-    config: dict[str, Any]
-    summary: dict[str, Any]
-    columns: list[str]
-    rows: Sequence[Sequence[Any]] | np.ndarray  # an array table is 2-D
+# scenario: str, seed: int | None, config and summary: dicts, columns: list of
+# str, rows: a sequence of row sequences or a 2-D numpy array.
+OutputRecord = namedtuple("OutputRecord", "scenario seed config summary columns rows")
 
 
 # With no indent the C encoder runs; this item separator puts every cell
@@ -93,12 +90,12 @@ def write_record(record: OutputRecord, path: str | None, fmt: str) -> None:
             _write_slices(fh, text)
 
 
-def _write_slices(fh: TextIO, text: str) -> None:
+def _write_slices(fh: io.TextIOBase, text: str) -> None:
     for start in range(0, len(text), _WRITE_CHARS):
         fh.write(text[start : start + _WRITE_CHARS])
 
 
-def load_schema() -> dict[str, Any]:
+def load_schema() -> dict[str, object]:
     """The JSON schema that every JSON record must satisfy."""
     from importlib import resources
 
@@ -106,14 +103,14 @@ def load_schema() -> dict[str, Any]:
     return json.loads(text)
 
 
-def _chunks(rows: Sequence[Sequence[Any]] | np.ndarray) -> Iterator[Sequence[Sequence[Any]]]:
+def _chunks(rows: Sequence[Sequence[object]] | np.ndarray) -> Iterator[Sequence[Sequence[object]]]:
     """The table in runs of _CHUNK_ROWS rows, an array's as Python lists."""
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start : start + _CHUNK_ROWS]
         yield chunk.tolist() if hasattr(chunk, "tolist") else chunk
 
 
-def _rows_json(rows: Sequence[Sequence[Any]] | np.ndarray) -> list[str]:
+def _rows_json(rows: Sequence[Sequence[object]] | np.ndarray) -> list[str]:
     """Pieces of the table as json.dumps(indent=2) lays it out inside the record."""
     pieces = []
     for chunk in _chunks(rows):
@@ -125,7 +122,7 @@ def _rows_json(rows: Sequence[Sequence[Any]] | np.ndarray) -> list[str]:
     return pieces
 
 
-def _chunk_json(rows: Sequence[Sequence[Any]]) -> str:
+def _chunk_json(rows: Sequence[Sequence[object]]) -> str:
     """The rows of one chunk, each laid out as in the record, comma-separated."""
     try:
         text = _ROWS_ENCODER.encode(rows)
@@ -143,7 +140,7 @@ def _chunk_json(rows: Sequence[Sequence[Any]]) -> str:
     return laid_out.replace(_EMPTY_ROW, "[]")
 
 
-def _plain(value: Any) -> Any:
+def _plain(value: object) -> object:
     """Coerce numpy scalars/arrays and NaN into JSON-safe plain Python."""
     if hasattr(value, "tolist"):
         value = value.tolist()
@@ -156,7 +153,7 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _cell(value: Any) -> str:
+def _cell(value: object) -> str:
     value = _plain(value)
     if value is None:
         return ""
