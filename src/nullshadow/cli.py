@@ -31,7 +31,7 @@ from .dynamics import no_click_populations
 from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
 from .interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from .master import MasterRunConfig, average_trajectories, integrate_master, max_elementwise_deviation
-from .output import OutputRecord, write_record
+from .output import ComputedRows, OutputRecord, write_record
 from .streams import uniforms_at
 
 # Output columns of the fixed-column subcommands; ev's depend on --shots.
@@ -221,12 +221,17 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     )
     times = time_grid(args.horizon, args.grid)
     stats = run_ensemble(cfg, times)
-    counts, excited = stats.blackened_count.tolist(), stats.survivor_excited_prob.tolist()
-    rows = [[t, c, c / cfg.n_atoms, p] for t, c, p in zip(times, counts, excited)]
-    final = counts[-1]
+
+    def rows(start: int, stop: int) -> list[list]:
+        counts = stats.blackened_count[start:stop].tolist()
+        excited = stats.survivor_excited_prob[start:stop].tolist()
+        return [[t, c, c / cfg.n_atoms, p] for t, c, p in zip(times[start:stop], counts, excited)]
+
+    table = ComputedRows(len(times), rows)
+    final = int(stats.blackened_count[-1])
     summary = {"fraction_blackened_final": final / cfg.n_atoms, "blackened_final": final}
     a0, a1 = [initial.a0.real, initial.a0.imag], [initial.a1.real, initial.a1.imag]
-    return _record(args, summary, rows, a0=a0, a1=a1, p_excited=initial.excited_population)
+    return _record(args, summary, table, a0=a0, a1=a1, p_excited=initial.excited_population)
 
 
 def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
@@ -235,11 +240,17 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
     _check_window(args)
     p0, p1 = abs(initial.a0) ** 2, abs(initial.a1) ** 2
     times = time_grid(args.horizon, args.grid)
-    # The fidelity with |g> of the pure conditioned state is its rho00.
-    rho11, rho00, _ = no_click_populations(p0, p1, params.gamma, times)
-    rows = list(zip(times, rho11, rho00))
-    summary = {"final_excited_prob": rho11[-1], "final_fidelity_with_ground": rho00[-1]}
-    return _record(args, summary, rows)
+
+    def rows(start: int, stop: int) -> list[tuple]:
+        chunk = times[start:stop]
+        # The fidelity with |g> of the pure conditioned state is its rho00.
+        rho11, rho00, _ = no_click_populations(p0, p1, params.gamma, chunk)
+        return list(zip(chunk, rho11, rho00))
+
+    table = ComputedRows(len(times), rows)
+    _, final_excited, final_fidelity = table[-1]
+    summary = {"final_excited_prob": final_excited, "final_fidelity_with_ground": final_fidelity}
+    return _record(args, summary, table)
 
 
 def cmd_ev(args: argparse.Namespace) -> OutputRecord:

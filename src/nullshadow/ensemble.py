@@ -22,8 +22,9 @@ Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
 bit-identical for a given seed.
 
-The shared survivor state is :func:`nullshadow.dynamics.no_jump_series`,
-evaluated once over all the requested times.
+The survivors' shared excited population is the closed form of
+:func:`nullshadow.dynamics.no_click_populations`, evaluated once over all
+the requested times.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import namedtuple
 
 from . import _np as np
 from .core import MAX_COUNT, AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
-from .dynamics import checked_times, no_jump_series, sample_jump_times
+from .dynamics import checked_times, no_click_populations, no_jump_series, sample_jump_times
 from .streams import uniforms_at
 
 # Fixed draw-slot layout of each atom's substream.
@@ -103,7 +104,9 @@ def run_ensemble(cfg: EnsembleConfig, times: np.ndarray) -> EnsembleStats:
             )
     else:
         # All survivors share one conditioned state.
-        survivor_excited = no_jump_series(cfg.initial, cfg.params, times).rho11
+        p0, p1 = abs(cfg.initial.a0) ** 2, abs(cfg.initial.a1) ** 2
+        rho11 = no_click_populations(p0, p1, cfg.params.gamma, times.ravel().tolist())[0]
+        survivor_excited = np.array(rho11).reshape(times.shape)
     return EnsembleStats(blackened, survivor_excited)
 
 

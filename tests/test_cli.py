@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -17,12 +18,12 @@ from nullshadow.core import MAX_COUNT, AtomParams, QubitState
 from nullshadow.dynamics import no_jump_series
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from nullshadow.master import MAX_STEPS
-from nullshadow.output import load_schema
+from nullshadow.output import _CHUNK_ROWS, load_schema
 from nullshadow.streams import uniforms_at
 from reference import read_csv_table
 from test_api import _fresh
 from test_interferometer import reference_fate
-from test_output import reference_json
+from test_output import plain, reference_json
 
 LN2 = math.log(2.0)
 
@@ -626,7 +627,9 @@ def test_help_lists_the_record_columns(command, tmp_path, capsys):
 
 
 # The benchmark's four command lines at smoke size, a --premeasure run whose
-# survivor column turns NaN once every atom has emitted, and both ev tables.
+# survivor column turns NaN once every atom has emitted, and both ev tables;
+# then computed tables of one chunk and a row, of two chunks and a row, and of
+# several chunks, one of them with the NaN turning up inside its first chunk.
 RENDER_RUNS = {
     "decay-100k": ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "2000",
                    "--horizon", "20", "--grid", "41", "--seed", "1"],
@@ -640,6 +643,12 @@ RENDER_RUNS = {
                           "--horizon", "10", "--grid", "101"],
     "ev": ["ev", "--blocker", "b"],
     "ev-shots": ["ev", "--blocker", "b", "--shots", "100", "--seed", "7"],
+    "conditional-257": ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "257"],
+    "conditional-513": ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "513"],
+    "decay-600": ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "1000", "--horizon", "5",
+                  "--grid", "600", "--seed", "1"],
+    "decay-premeasure-700": ["decay-ensemble", "--premeasure", "--p-excited", "1", "--n-atoms", "20",
+                             "--horizon", "20", "--grid", "700", "--seed", "1"],
 }
 
 
@@ -651,8 +660,45 @@ def test_json_file_is_the_reference_render(name, tmp_path):
     out = tmp_path / "record.json"
     assert run_cli(argv + ["--out", str(out), "--format", "json"]) == 0
     assert out.read_text(encoding="utf-8") == expected
-    if name == "decay-premeasure":
+    if name.startswith("decay-premeasure"):
         assert json.loads(expected)["rows"][-1][-1] is None
+    if name == "decay-premeasure-700":
+        survivor = [row[-1] for row in json.loads(expected)["rows"]]
+        assert 0 < survivor.index(None) % _CHUNK_ROWS, "the first null should fall inside a chunk"
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, argv in RENDER_RUNS.items() if argv[0] in ("conditional-state", "decay-ensemble")]
+)
+def test_a_computed_table_slices_as_its_whole_list(name):
+    args = build_parser().parse_args(RENDER_RUNS[name])
+    table = args.func(args).rows
+    whole = plain(table[:])  # NaN, which equals nothing, as None
+    assert len(table) == len(whole) == args.grid
+    assert plain(list(table)) == whole
+    assert plain(table[-1]) == whole[-1] and plain(table[-len(whole)]) == whole[0]
+    n, c = len(whole), _CHUNK_ROWS
+    for a, b in [(0, 1), (c - 1, c + 1), (c, 2 * c), (n - 1, n), (3, n - 2), (n, n + 5), (5, 2), (-3, None)]:
+        assert plain(table[a:b]) == whole[a:b], (a, b)
+    assert plain(table[1:n:c]) == whole[1:n:c] and plain(table[::-97]) == whole[::-97]
+    with pytest.raises(IndexError):
+        table[n]
+
+
+# A computed table is held one chunk at a time, so writing it peaks at about
+# the two copies of its text that the render and its join make.
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writing_a_dense_conditional_table_peaks_under_three_times_the_file(fmt, tmp_path):
+    out = tmp_path / f"dense.{fmt}"
+    argv = ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "200001",
+            "--out", str(out), "--format", fmt]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * out.stat().st_size, peak / out.stat().st_size
 
 
 def _exit_codes(text):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullshadow import __version__, cli, output
-from nullshadow.output import _CHUNK_ROWS, OutputRecord, load_schema, render, write_record
+from nullshadow.output import _CHUNK_ROWS, ComputedRows, OutputRecord, load_schema, render, write_record
 from reference import read_csv_table
 
 
@@ -35,7 +35,7 @@ def reference_json(record):
         "config": plain(record.config),
         "summary": plain(record.summary),
         "columns": list(record.columns),
-        "rows": plain(record.rows),
+        "rows": plain(list(record.rows)),
     }
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
@@ -304,3 +304,20 @@ def test_render_of_an_array_table_peaks_near_two_copies_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text), peak / len(text)
+
+
+
+def test_computed_rows_compute_the_chunks_the_render_reads():
+    calls = []
+
+    def squares(start, stop):
+        calls.append((start, stop))
+        return [[i, i * i] for i in range(start, stop)]
+
+    rows, whole = ComputedRows(2 * C + 1, squares), [[i, i * i] for i in range(2 * C + 1)]
+    assert rows[7:3] == [] and rows[len(whole) :] == [] and calls == []
+    with pytest.raises(IndexError):
+        rows[-len(whole) - 1]
+    assert render(table_record(rows), "json") == reference_json(table_record(whole))
+    assert calls == [(0, C), (C, 2 * C), (2 * C, 2 * C + 1)]
+    assert render(table_record(rows), "csv") == render(table_record(whole), "csv")
