@@ -248,7 +248,7 @@ def cmd_conditional_state(args: argparse.Namespace) -> OutputRecord:
         return list(zip(chunk, rho11, rho00))
 
     table = ComputedRows(len(times), rows)
-    _, final_excited, final_fidelity = table[-1]
+    [(_, final_excited, final_fidelity)] = table[-1:]
     summary = {"final_excited_prob": final_excited, "final_fidelity_with_ground": final_fidelity}
     return _record(args, summary, table)
 

@@ -23,8 +23,8 @@ Reproducibility: atom ``i`` draws its variates from the hash substream
 bit-identical for a given seed.
 
 The survivors' shared excited population is the closed form of
-:func:`nullshadow.dynamics.no_click_populations`, evaluated once over all
-the requested times.
+:func:`nullshadow.dynamics.no_click_populations`, filled into one float
+array a slice of the requested times at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .streams import uniforms_at
 # Fixed draw-slot layout of each atom's substream.
 SLOT_PREMEASURE = 0
 SLOT_JUMP = 1
+# Times per no_click_populations call: its Python lists stay this short.
+_SURVIVOR_SLICE = 4096
 
 
 class EnsembleConfig(namedtuple("EnsembleConfig", "n_atoms initial params base_seed premeasure",
@@ -105,8 +107,11 @@ def run_ensemble(cfg: EnsembleConfig, times: np.ndarray) -> EnsembleStats:
     else:
         # All survivors share one conditioned state.
         p0, p1 = abs(cfg.initial.a0) ** 2, abs(cfg.initial.a1) ** 2
-        rho11 = no_click_populations(p0, p1, cfg.params.gamma, times.ravel().tolist())[0]
-        survivor_excited = np.array(rho11).reshape(times.shape)
+        flat, rho11 = times.ravel(), np.empty(times.size)
+        for start in range(0, flat.size, _SURVIVOR_SLICE):
+            span = slice(start, start + _SURVIVOR_SLICE)
+            rho11[span] = no_click_populations(p0, p1, cfg.params.gamma, flat[span].tolist())[0]
+        survivor_excited = rho11.reshape(times.shape)
     return EnsembleStats(blackened, survivor_excited)
 
 

@@ -12,13 +12,13 @@ Floats are written with Python repr semantics (shortest decimal that
 round-trips), so parsing a file back reproduces every value exactly.
 NaN is mapped to null / an empty cell to keep the JSON standard.
 
-A table is encoded a few hundred rows at a time, from slices of its
-rows.  A numeric table may be a 2-D numpy array, which stays one until
-then; a table whose rows are pure functions of their index may be a
-``ComputedRows``, which computes each slice when it is asked for, so no
-more than one chunk of its rows exists at once.  The record text is
-built by one join of its pieces and written in slices, so rendering and
-writing peak at about two copies of the text.
+A table is encoded a few hundred rows at a time, from contiguous slices
+of its rows.  A numeric table may be a 2-D numpy array, which stays one
+until then; a table whose rows are pure functions of their index may be
+a ``ComputedRows``, a length and a contiguous slice computed when asked
+for, so no more than one chunk of its rows exists at once.  The record
+text is built by one join of its pieces and written in slices, so
+rendering and writing peak at about two copies of the text.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ SCHEMA_RESOURCE = "output_record.schema.json"
 
 
 # scenario: str, seed: int | None, config and summary: dicts, columns: list of
-# str, rows: a sized sequence whose slices are lists of row sequences (a list,
-# a ComputedRows), or a 2-D numpy array.
+# str, rows: a list of row sequences, a 2-D numpy array or a ComputedRows;
+# render reads only its len() and its contiguous slices.
 OutputRecord = namedtuple("OutputRecord", "scenario seed config summary columns rows")
 
 
-class ComputedRows(Sequence):
-    """A table of ``length`` rows, computed a slice at a time.
+class ComputedRows:
+    """A table of ``length`` rows, computed a contiguous slice at a time.
 
-    ``compute(start, stop)`` returns the rows start..stop-1 as a list
-    (0 <= start < stop <= length); a slice of the table is that list, and
-    an index is one row of it.  Nothing is kept between calls.
+    ``rows[a:b]`` is ``compute(a, b)``, the list of rows a..b-1, with a and
+    b read as a list reads slice bounds; it is ``[]`` when a >= b.  A
+    stepped slice raises ValueError, an index TypeError.  Nothing is kept.
     """
 
     __slots__ = ("_length", "_compute")
@@ -58,17 +58,11 @@ class ComputedRows(Sequence):
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index: int | slice) -> Sequence[object] | list:
-        span = range(self._length)[index]
-        if isinstance(span, int):
-            return self._compute(span, span + 1)[0]
-        if span.step == 1:
-            return self._compute(span.start, span.stop) if span else []
-        return [self[i] for i in span]
-
-    def __iter__(self) -> Iterator[Sequence[object]]:
-        for chunk in _chunks(self):
-            yield from chunk
+    def __getitem__(self, span: slice) -> list:
+        start, stop, step = slice.indices(span, self._length)
+        if step != 1:
+            raise ValueError(f"a computed table slices only contiguously, got step {step}")
+        return self._compute(start, stop) if start < stop else []
 
 
 # With no indent the C encoder runs; this item separator puts every cell

@@ -675,30 +675,40 @@ def test_a_computed_table_slices_as_its_whole_list(name):
     table = args.func(args).rows
     whole = plain(table[:])  # NaN, which equals nothing, as None
     assert len(table) == len(whole) == args.grid
-    assert plain(list(table)) == whole
-    assert plain(table[-1]) == whole[-1] and plain(table[-len(whole)]) == whole[0]
     n, c = len(whole), _CHUNK_ROWS
-    for a, b in [(0, 1), (c - 1, c + 1), (c, 2 * c), (n - 1, n), (3, n - 2), (n, n + 5), (5, 2), (-3, None)]:
+    for a, b in [(0, 1), (c - 1, c + 1), (c, 2 * c), (n - 1, n), (3, n - 2), (n, n + 5), (5, 2), (-3, None),
+                 (-1, None), (-n - 5, 2)]:
         assert plain(table[a:b]) == whole[a:b], (a, b)
-    assert plain(table[1:n:c]) == whole[1:n:c] and plain(table[::-97]) == whole[::-97]
-    with pytest.raises(IndexError):
-        table[n]
+    with pytest.raises(ValueError, match="contiguous"):
+        table[1:n:c]
+
+
+def _write_peak_per_byte(argv, out):
+    """Peak traced allocation of one CLI run that writes ``out``, per byte of the file."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.stat().st_size
 
 
 # A computed table is held one chunk at a time, so writing it peaks at about
 # the two copies of its text that the render and its join make.
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_writing_a_dense_conditional_table_peaks_under_three_times_the_file(fmt, tmp_path):
-    out = tmp_path / f"dense.{fmt}"
-    argv = ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "200001",
-            "--out", str(out), "--format", fmt]
-    tracemalloc.start()
-    try:
-        assert run_cli(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.0 * out.stat().st_size, peak / out.stat().st_size
+    argv = ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "200001", "--format", fmt]
+    assert _write_peak_per_byte(argv, tmp_path / f"dense.{fmt}") <= 3.0
+
+
+# decay-ensemble also holds its grid, counts and survivor column as arrays,
+# heavy beside its short CSV rows, hence the looser bound; the survivor
+# column is filled a slice at a time, with no whole-grid Python lists.
+def test_writing_a_dense_decay_csv_peaks_under_four_times_the_file(tmp_path):
+    argv = ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "1000", "--horizon", "5",
+            "--grid", "200001", "--seed", "1", "--format", "csv"]
+    assert _write_peak_per_byte(argv, tmp_path / "dense.csv") <= 4.0
 
 
 def _exit_codes(text):

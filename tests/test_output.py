@@ -35,7 +35,7 @@ def reference_json(record):
         "config": plain(record.config),
         "summary": plain(record.summary),
         "columns": list(record.columns),
-        "rows": plain(list(record.rows)),
+        "rows": plain(record.rows[:]),
     }
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
@@ -316,8 +316,11 @@ def test_computed_rows_compute_the_chunks_the_render_reads():
 
     rows, whole = ComputedRows(2 * C + 1, squares), [[i, i * i] for i in range(2 * C + 1)]
     assert rows[7:3] == [] and rows[len(whole) :] == [] and calls == []
-    with pytest.raises(IndexError):
-        rows[-len(whole) - 1]
+    assert rows[-2:] == whole[-2:] and rows[C - 1 : C + 1] == whole[C - 1 : C + 1]
+    with pytest.raises(ValueError, match="contiguous"):
+        rows[::2]
+    assert calls == [(2 * C - 1, 2 * C + 1), (C - 1, C + 1)]
+    calls.clear()
     assert render(table_record(rows), "json") == reference_json(table_record(whole))
     assert calls == [(0, C), (C, 2 * C), (2 * C, 2 * C + 1)]
     assert render(table_record(rows), "csv") == render(table_record(whole), "csv")
