@@ -51,8 +51,25 @@ CONFIG = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but text for stdout (``--version``, ``--help``) that
+    cannot be written raises, so that ``main`` exits 1 as for a record.
+
+    argparse ignores an ``OSError`` from every message it prints; one from
+    a message for stderr is still ignored.  Subcommand parsers take this
+    class too.
+    """
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is not None and file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nullshadow",
         description="Quantum-trajectory simulator: decaying two-level atoms, "
         "null-measurement conditioning, and a blocker interferometer.",
@@ -328,8 +345,8 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
 def main(argv: Sequence[str] | None = None) -> int:
     if "numpy" not in sys.modules:  # no subcommand calls BLAS: skip OpenBLAS's start-up thread pool
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         record = args.func(args)
         write_record(record, args.out, args.format)
     except ValueError as err:  # ConfigurationError included
@@ -339,7 +356,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"nullshadow: error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
     return 3 if record.summary.get("passed") is False else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

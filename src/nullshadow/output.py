@@ -112,6 +112,7 @@ def write_record(record: OutputRecord, path: str | None, fmt: str) -> None:
     text = render(record, fmt)
     if path is None:
         _write_slices(sys.stdout, text)
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_slices(fh, text)

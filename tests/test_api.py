@@ -236,6 +236,65 @@ def test_a_sampled_run_loads_numpy():
     assert _fresh(_RUN_MAIN, json.dumps(["ev", "--blocker", "b", "--shots", "10"])) == [0, True]
 
 
+# Runs cli.main and then the process entry on the argv given as JSON, their
+# output discarded, and prints each exit code with the collector's count of
+# frozen objects after it.
+_MAIN_THEN_RUN = """
+import contextlib, gc, io, json, sys
+from nullshadow import cli
+from nullshadow.__main__ import run
+result = []
+for entry in (cli.main, run):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = entry(json.loads(sys.argv[1]))
+        except SystemExit as exc:
+            code = exc.code
+    result += [code, gc.get_freeze_count()]
+print(json.dumps(result))
+"""
+
+ENTRY_EXITS = {
+    "success": WITHOUT_ARRAYS["exact-ev"],
+    "configuration-error": WITHOUT_ARRAYS["configuration-error"],
+    "tolerance-exceeded": (["master-check", "--p-excited", "0.5", "--n-traj", "10", "--horizon", "1",
+                            "--dt", "0.01", "--tol", "0"], 3),
+    "version": WITHOUT_ARRAYS["version"],
+    "usage-error": WITHOUT_ARRAYS["usage-error"],
+}
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_EXITS.values(), ids=ENTRY_EXITS)
+def test_the_process_entry_freezes_the_heap_and_main_does_not(argv, code):
+    # a frozen heap skips shutdown's full collections; a library caller of
+    # cli.main keeps its collector
+    main_code, frozen_after_main, run_code, frozen_after_run = _fresh(_MAIN_THEN_RUN, json.dumps(argv))
+    assert main_code == run_code == code
+    assert frozen_after_main == 0
+    assert frozen_after_run > 0
+
+
+def test_the_process_entry_freezes_the_heap_after_an_uncaught_exception():
+    code = """
+import gc, json
+import nullshadow.__main__ as entry
+def fail(argv):
+    raise RuntimeError("unexpected")
+entry.main = fail
+try:
+    entry.run([])
+except RuntimeError:
+    print(json.dumps(gc.get_freeze_count()))
+"""
+    assert _fresh(code) > 0
+
+
+def test_the_console_script_is_the_process_entry():
+    # a text match, since Python 3.10 has no tomllib
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\nnullshadow = "nullshadow\.__main__:run"$', pyproject, re.M)
+
+
 def test_importing_the_cli_imports_every_module():
     # perfbench/replay.py wraps the functions of the modules that are
     # loaded once nullshadow.cli is; one imported later would go untraced.

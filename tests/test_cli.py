@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -21,7 +22,7 @@ from nullshadow.master import MAX_STEPS
 from nullshadow.output import _CHUNK_ROWS, load_schema
 from nullshadow.streams import uniforms_at
 from reference import read_csv_table
-from test_api import _fresh
+from test_api import SRC, _fresh
 from test_interferometer import reference_fate
 from test_output import plain, reference_json
 
@@ -816,6 +817,70 @@ def test_a_run_after_numpy_leaves_the_environment_alone(tmp_path):
     before = dict(os.environ)
     assert run_cli(SMALL_DECAY + ["--out", str(tmp_path / "d.csv")]) == 0
     assert dict(os.environ) == before
+
+
+# This environment with stdout block-buffered, as it is by default.
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+UNBUFFERED = {**BUFFERED, "PYTHONUNBUFFERED": "1"}
+
+
+def _python_m(argv: list[str], env: dict[str, str], **streams) -> subprocess.CompletedProcess:
+    """``python -m nullshadow argv`` in a new interpreter that imports the package from src."""
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nullshadow", *argv], env={**env, "PYTHONPATH": path},
+                          timeout=120, **streams)
+
+
+DENSE_COND = ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "20001"]
+# Tables of several render chunks; the decay one has null survivor cells across them.
+CHILD_RUNS = {
+    "conditional-json": DENSE_COND,
+    "conditional-csv": DENSE_COND + ["--format", "csv"],
+    "decay-null-cells": ["decay-ensemble", "--premeasure", "--p-excited", "1", "--n-atoms", "20",
+                         "--horizon", "20", "--grid", "20001"],
+}
+
+
+@pytest.mark.parametrize("argv", CHILD_RUNS.values(), ids=CHILD_RUNS)
+def test_a_process_writes_the_bytes_of_main(argv, capsys):
+    # the process entry freezes the heap, so shutdown collects nothing;
+    # the record must still reach stdout whole
+    child = _python_m(argv, BUFFERED, capture_output=True)
+    assert child.returncode == 0 and child.stderr == b""
+    assert run_cli(argv) == 0
+    assert child.stdout == capsys.readouterr().out.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["ev", "--blocker", "b"], ["--version"], ["ev", "--help"]],
+                         ids=["record", "version", "help"])
+def test_a_full_stdout_exits_1_with_one_line(argv, env):
+    # argparse ignores a failed write of --version and --help, and a
+    # block-buffered stdout fails at its flush, which the interpreter's
+    # last flush repeats (exit 120) unless the process entry drops it
+    with open("/dev/full", "w") as full:
+        child = _python_m(argv, env, stdout=full, stderr=subprocess.PIPE)
+    assert (child.returncode, child.stderr) == (1, b"nullshadow: error: [Errno 28] No space left on device\n")
+
+
+def test_a_pipe_whose_reader_is_gone_exits_1_with_one_line():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _python_m(["--version"], BUFFERED, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (1, b"nullshadow: error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stderr_keeps_the_usage_exit_code():
+    # argparse still ignores a failed write to stderr.  Unbuffered, so that
+    # no shutdown flush of stderr fails after it (that exits 120).
+    with open("/dev/full", "w") as full:
+        child = _python_m(["ev", "--shots", "many"], UNBUFFERED, stdout=subprocess.PIPE, stderr=full)
+    assert (child.returncode, child.stdout) == (2, b"")
 
 
 # Every float flag takes any float, NaN and infinities included, a
