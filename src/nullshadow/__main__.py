@@ -22,20 +22,22 @@ def run(argv: Sequence[str] | None = None) -> int:
     freezes: it is the library call, and its caller keeps its collector.
 
     ``main`` flushes what it writes to stdout and reports a write that
-    fails (exit 1).  Output that stdout refused stays in its buffer, so it
-    is sent to the null device here; shutdown's flush would fail on it
-    again and turn the exit code into 120.
+    fails (exit 1); a message that stderr refuses leaves the exit code as
+    it is.  Text that either stream refused stays in its buffer, so it is
+    sent to the null device here; shutdown's flush would fail on it again
+    and turn the exit code into 120.
     """
     try:
         return main(argv)
     finally:
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError:
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                if stream is not None:
+                    stream.flush()
+            except OSError:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, stream.fileno())
+                os.close(null)
         gc.freeze()
 
 

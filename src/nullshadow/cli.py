@@ -31,7 +31,7 @@ from .dynamics import no_click_populations
 from .ensemble import EnsembleConfig, run_ensemble, run_trajectories, trajectory_state_series
 from .interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from .master import MasterRunConfig, average_trajectories, integrate_master, max_elementwise_deviation
-from .output import ComputedRows, OutputRecord, write_record
+from .output import ComputedRows, OutputRecord, _write_stdout, write_record
 from .streams import uniforms_at
 
 # Output columns of the fixed-column subcommands; ev's depend on --shots.
@@ -56,14 +56,13 @@ class _Parser(argparse.ArgumentParser):
     cannot be written raises, so that ``main`` exits 1 as for a record.
 
     argparse ignores an ``OSError`` from every message it prints; one from
-    a message for stderr is still ignored.  Subcommand parsers take this
-    class too.
+    a message for stderr is still ignored.  A closed stdout is None, which
+    argparse would swap for stderr.  Subcommand parsers take this class too.
     """
 
     def _print_message(self, message: str, file=None) -> None:
-        if file is not None and file is sys.stdout:
-            file.write(message)
-            file.flush()
+        if file is sys.stdout:
+            _write_stdout(message)
         else:
             super()._print_message(message, file)
 
@@ -333,13 +332,14 @@ def cmd_master_check(args: argparse.Namespace) -> OutputRecord:
             analytic,
         ]
     )
+    table = ComputedRows(len(rows), lambda start, stop: rows[start:stop].tolist())
     summary = {
         "max_deviation": deviation,
         "tol": tol,
         "passed": deviation <= tol,
         "max_population_error_vs_analytic": population_error,
     }
-    return _record(args, summary, rows, tol=tol)
+    return _record(args, summary, table, tol=tol)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -350,9 +350,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         record = args.func(args)
         write_record(record, args.out, args.format)
     except ValueError as err:  # ConfigurationError included
-        print(f"nullshadow: error: {err}", file=sys.stderr)
+        _report(str(err))
         return 2
     except (OSError, MemoryError) as err:
-        print(f"nullshadow: error: {str(err) or 'out of memory'}", file=sys.stderr)
+        _report(str(err) or "out of memory")
         return 1
     return 3 if record.summary.get("passed") is False else 0
+
+
+def _report(message: str) -> None:
+    """One error line on stderr.  A stderr that is closed (None) or cannot
+    take it drops the line, as argparse drops its own, and the exit code stays."""
+    try:
+        sys.stderr.write(f"nullshadow: error: {message}\n")
+    except (AttributeError, OSError):
+        pass

@@ -12,18 +12,20 @@ Floats are written with Python repr semantics (shortest decimal that
 round-trips), so parsing a file back reproduces every value exactly.
 NaN is mapped to null / an empty cell to keep the JSON standard.
 
-A table is encoded a few hundred rows at a time, from contiguous slices
-of its rows.  A numeric table may be a 2-D numpy array, which stays one
-until then; a table whose rows are pure functions of their index may be
-a ``ComputedRows``, a length and a contiguous slice computed when asked
-for, so no more than one chunk of its rows exists at once.  The record
-text is built by one join of its pieces and written in slices, so
-rendering and writing peak at about two copies of the text.
+A record holds plain Python values; its producer turns numpy ones into
+them.  A table is encoded a few hundred rows at a time, from contiguous
+slices of its rows.  A table whose rows are pure functions of their
+index, or slices of an array, may be a ``ComputedRows``, a length and a
+contiguous slice computed when asked for, so no more than one chunk of
+its rows exists at once.  The record text is built by one join of its
+pieces and written in slices, so rendering and writing peak at about
+two copies of the text.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -31,14 +33,14 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 
-from . import __version__, _np as np
+from . import __version__
 
 SCHEMA_RESOURCE = "output_record.schema.json"
 
 
-# scenario: str, seed: int | None, config and summary: dicts, columns: list of
-# str, rows: a list of row sequences, a 2-D numpy array or a ComputedRows;
-# render reads only its len() and its contiguous slices.
+# scenario: str, seed: int | None, config and summary: dicts of plain values,
+# columns: list of str, rows: a list of rows of plain values or a ComputedRows
+# of them; render reads only its len() and its contiguous slices.
 OutputRecord = namedtuple("OutputRecord", "scenario seed config summary columns rows")
 
 
@@ -111,11 +113,18 @@ def write_record(record: OutputRecord, path: str | None, fmt: str) -> None:
     """Write to a file, or to stdout when no path is given."""
     text = render(record, fmt)
     if path is None:
-        _write_slices(sys.stdout, text)
-        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+        _write_stdout(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_slices(fh, text)
+
+
+def _write_stdout(text: str) -> None:
+    """Write to stdout and flush, so a full disk or a closed pipe fails here, not at exit."""
+    if sys.stdout is None:  # the process was started with its stdout closed
+        raise OSError(errno.EBADF, "stdout is closed")
+    _write_slices(sys.stdout, text)
+    sys.stdout.flush()
 
 
 def _write_slices(fh: io.TextIOBase, text: str) -> None:
@@ -131,14 +140,13 @@ def load_schema() -> dict[str, object]:
     return json.loads(text)
 
 
-def _chunks(rows: Sequence[Sequence[object]] | np.ndarray) -> Iterator[Sequence[Sequence[object]]]:
-    """The table in runs of _CHUNK_ROWS rows, an array's as Python lists."""
+def _chunks(rows: Sequence[Sequence[object]]) -> Iterator[Sequence[Sequence[object]]]:
+    """The table in runs of _CHUNK_ROWS rows."""
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        yield chunk.tolist() if hasattr(chunk, "tolist") else chunk
+        yield rows[start : start + _CHUNK_ROWS]
 
 
-def _rows_json(rows: Sequence[Sequence[object]] | np.ndarray) -> list[str]:
+def _rows_json(rows: Sequence[Sequence[object]]) -> list[str]:
     """Pieces of the table as json.dumps(indent=2) lays it out inside the record."""
     pieces = []
     for chunk in _chunks(rows):
@@ -154,7 +162,7 @@ def _chunk_json(rows: Sequence[Sequence[object]]) -> str:
     """The rows of one chunk, each laid out as in the record, comma-separated."""
     try:
         text = _ROWS_ENCODER.encode(rows)
-    except (ValueError, TypeError):  # a NaN or numpy cell
+    except ValueError:  # a NaN or infinite cell
         rows = _plain(rows)
         try:
             text = _ROWS_ENCODER.encode(rows)
@@ -169,9 +177,7 @@ def _chunk_json(rows: Sequence[Sequence[object]]) -> str:
 
 
 def _plain(value: object) -> object:
-    """Coerce numpy scalars/arrays and NaN into JSON-safe plain Python."""
-    if hasattr(value, "tolist"):
-        value = value.tolist()
+    """The value with every NaN in it as None, JSON's null."""
     if isinstance(value, float) and math.isnan(value):
         return None
     if isinstance(value, dict):
@@ -182,11 +188,10 @@ def _plain(value: object) -> object:
 
 
 def _cell(value: object) -> str:
-    value = _plain(value)
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)

@@ -169,6 +169,8 @@ def test_density_series_lives_in_core_which_imports_no_numpy():
         assert not {m for m in _imported(nodes) if m.split(".")[0] == "numpy"}, path.name
         names = {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert "TYPE_CHECKING" not in names, path.name
+        if path.stem in ("core", "output"):  # plain values and records: no numpy through _np either
+            assert not {m for m in _imported(nodes) | names if m.rsplit(".", 1)[-1] == "_np"}, path.name
 
 
 def _fresh(code: str, *args: str, flags: tuple[str, ...] = (), env: dict[str, str] | None = None):

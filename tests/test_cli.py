@@ -19,7 +19,7 @@ from nullshadow.core import MAX_COUNT, AtomParams, QubitState
 from nullshadow.dynamics import no_jump_series
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from nullshadow.master import MAX_STEPS
-from nullshadow.output import _CHUNK_ROWS, load_schema
+from nullshadow.output import _CHUNK_ROWS, ComputedRows, load_schema
 from nullshadow.streams import uniforms_at
 from reference import read_csv_table
 from test_api import SRC, _fresh
@@ -684,6 +684,37 @@ def test_a_computed_table_slices_as_its_whole_list(name):
         table[1:n:c]
 
 
+# What a record may hold, by exact type: np.float64 subclasses float, and
+# its repr is not a float's.
+SCALARS = (str, int, float, bool, type(None))
+
+
+def _not_plain(value):
+    """The values inside a config or summary value that are not plain Python."""
+    if type(value) is dict:
+        return [bad for item in [*value, *value.values()] for bad in _not_plain(item)]
+    if type(value) is list:
+        return [bad for item in value for bad in _not_plain(item)]
+    return [] if type(value) in SCALARS else [value]
+
+
+# RENDER_RUNS hold every subcommand: decay-ensemble with and without
+# --premeasure (whose survivor cells turn NaN), ev with and without --shots.
+@pytest.mark.parametrize("name", RENDER_RUNS)
+def test_a_record_holds_plain_python_values(name):
+    args = build_parser().parse_args(RENDER_RUNS[name])
+    record = args.func(args)
+    assert _not_plain(record.config) == [] and _not_plain(record.summary) == []
+    table = record.rows
+    assert type(table) in (list, ComputedRows)
+    for start in range(0, len(table), _CHUNK_ROWS):
+        rows = table[start : start + _CHUNK_ROWS]
+        assert type(rows) is list
+        # a row may be a tuple, which JSON writes as a list
+        assert {type(row) for row in rows} <= {list, tuple}
+        assert {type(cell) for row in rows for cell in row} <= set(SCALARS), start
+
+
 def _write_peak_per_byte(argv, out):
     """Peak traced allocation of one CLI run that writes ``out``, per byte of the file."""
     tracemalloc.start()
@@ -876,10 +907,53 @@ def test_a_pipe_whose_reader_is_gone_exits_1_with_one_line():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_full_stderr_keeps_the_usage_exit_code():
-    # argparse still ignores a failed write to stderr.  Unbuffered, so that
-    # no shutdown flush of stderr fails after it (that exits 120).
+    # argparse still ignores a failed write to stderr
     with open("/dev/full", "w") as full:
         child = _python_m(["ev", "--shots", "many"], UNBUFFERED, stdout=subprocess.PIPE, stderr=full)
+    assert (child.returncode, child.stdout) == (2, b"")
+
+
+# A stderr that cannot take the error line leaves the exit code as it is:
+# a usage error, a configuration error, and a record on a full stdout.
+FULL_STDERR_RUNS = {
+    "usage": (["ev", "--shots", "many"], 2),
+    "configuration": (["decay-ensemble", "--n-atoms", "0", "--p-excited", "0.5", "--horizon", "1"], 2),
+    "full-stdout": (["ev", "--blocker", "b"], 1),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", FULL_STDERR_RUNS)
+def test_a_full_stderr_keeps_the_exit_code(name, env):
+    # stderr is line-buffered, so the write of the line itself fails, and
+    # the interpreter's last flush would fail again (exit 120)
+    argv, code = FULL_STDERR_RUNS[name]
+    with open("/dev/full", "w") as full:
+        child = _python_m(argv, env, stdout=full if name == "full-stdout" else subprocess.DEVNULL, stderr=full)
+    assert child.returncode == code
+
+
+# A stream closed at start-up is None in sys; argparse would write
+# --version and --help to stderr instead, and print() an error to stdout.
+@pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["ev", "--blocker", "b"], ["--version"], ["ev", "--help"]],
+                         ids=["record", "version", "help"])
+def test_a_closed_stdout_exits_1_with_one_line(argv, env):
+    child = _python_m(argv, env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr) == (1, b"nullshadow: error: [Errno 9] stdout is closed\n")
+
+
+def test_a_closed_stdout_does_not_stop_a_record_written_to_a_file(tmp_path):
+    out = tmp_path / "ev.json"
+    child = _python_m(["ev", "--blocker", "b", "--out", str(out)], BUFFERED, stderr=subprocess.PIPE,
+                      preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert json.loads(out.read_text())["scenario"] == "ev"
+
+
+def test_a_closed_stderr_keeps_the_error_line_off_stdout():
+    child = _python_m(["ev", "--shots", "-1"], BUFFERED, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
     assert (child.returncode, child.stdout) == (2, b"")
 
 

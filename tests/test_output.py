@@ -14,9 +14,7 @@ from reference import read_csv_table
 
 
 def plain(value):
-    """numpy values to Python ones and NaN to None, written out apart from the package."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return plain(value.tolist())
+    """NaN to None, written out apart from the package."""
     if isinstance(value, float) and math.isnan(value):
         return None
     if isinstance(value, dict):
@@ -93,35 +91,14 @@ def test_render_is_deterministic():
     assert render(rec, "csv") == render(rec, "csv")
 
 
-def test_numpy_values_are_coerced():
-    rec = OutputRecord(
-        scenario="decay-ensemble",
-        seed=0,
-        config={
-            "horizon": np.float64(2.0),
-            "a1": np.array(0.5),
-            "grid": np.array([[1.0, np.nan]]),
-        },
-        summary={"count": np.int64(5)},
-        columns=["t"],
-        rows=[[np.float64(0.1)]],
-    )
-    data = json.loads(render(rec, "json"))
-    assert data["config"]["horizon"] == 2.0
-    assert data["config"]["a1"] == 0.5
-    assert data["config"]["grid"] == [[1.0, None]]
-    assert data["summary"]["count"] == 5
-    assert data["rows"][0][0] == 0.1
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.float64(math.inf)])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
 def test_infinite_cell_names_its_value(bad):
     rec = OutputRecord(
         scenario="ev", seed=None, config={}, summary={}, columns=["x"], rows=[[1.0], [bad]]
     )
     with pytest.raises(ValueError) as exc:
         render(rec, "json")
-    assert str(exc.value) == f"Out of range float values are not JSON compliant: {float(bad)!r}"
+    assert str(exc.value) == f"Out of range float values are not JSON compliant: {bad!r}"
 
 
 # Cells of every kind a record can hold, with the values where a float's
@@ -133,9 +110,6 @@ CELLS = st.one_of(
     st.integers(),
     st.booleans(),
     st.none(),
-    st.floats(allow_infinity=False).map(np.float64),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
     st.sampled_from(EDGE_STRINGS),
     st.text(),
 )
@@ -153,10 +127,9 @@ CELLS = st.one_of(
         [-0.0, 5e-324, 1e22, 2**60],
         [],
         [True, None, math.nan],
-        [np.float64(0.1), np.int64(5), np.bool_(False), np.float64(math.nan)],
         EDGE_STRINGS,
     ],
-    summary={"passed": np.bool_(True)},
+    summary={"passed": True},
 )
 def test_json_render_is_byte_identical_to_indented_dumps(rows, summary):
     rec = OutputRecord(
@@ -215,6 +188,11 @@ def float_table(n_rows):
     return np.column_stack([t, np.exp(-t) / 3.0, 1.0 - np.exp(-t) / 3.0])
 
 
+def array_rows(table):
+    """The rows of a 2-D array as master-check hands them to its record."""
+    return ComputedRows(len(table), lambda start, stop: table[start:stop].tolist())
+
+
 C = _CHUNK_ROWS
 
 
@@ -227,19 +205,18 @@ def test_array_and_list_tables_render_as_indented_dumps(n_rows):
     table = float_table(n_rows)
     expected = reference_json(table_record(table.tolist()))
     assert render(table_record(table.tolist()), "json") == expected
-    assert render(table_record(table), "json") == expected
+    assert render(table_record(array_rows(table)), "json") == expected
 
 
 @pytest.mark.parametrize(
     "rows",
     [
         [[], []],
-        np.empty((2, 0)),
         [[] for _ in range(C + 1)],
         [[i] if i % 3 else [] for i in range(2 * C + 1)],
         [[] if i in (C - 1, C) else [float(i), "x"] for i in range(C + 2)],
     ],
-    ids=["two", "array", "chunk-plus-one", "every-third", "across-the-boundary"],
+    ids=["two", "chunk-plus-one", "every-third", "across-the-boundary"],
 )
 def test_empty_rows_render_as_indented_dumps(rows):
     rec = table_record(rows)
@@ -249,7 +226,7 @@ def test_empty_rows_render_as_indented_dumps(rows):
 def test_nan_in_the_last_chunk_becomes_null():
     table = float_table(2 * C + 1)
     table[-1, 1] = math.nan
-    rec = table_record(table)
+    rec = table_record(array_rows(table))
     text = render(rec, "json")
     assert text == reference_json(rec)
     assert json.loads(text)["rows"][-1] == [10.0, None, table[-1, 2]]
@@ -259,7 +236,7 @@ def test_nan_in_the_last_chunk_becomes_null():
 def test_infinite_cell_in_a_later_chunk_names_its_value(bad):
     table = float_table(2 * C + 1)
     table[C + 5, 2] = bad
-    for rows in (table, table.tolist()):
+    for rows in (array_rows(table), table.tolist()):
         with pytest.raises(ValueError) as exc:
             render(table_record(rows), "json")
         assert str(exc.value) == f"Out of range float values are not JSON compliant: {bad!r}"
@@ -268,7 +245,7 @@ def test_infinite_cell_in_a_later_chunk_names_its_value(bad):
 def test_infinite_cell_in_a_later_chunk_exits_2(monkeypatch, capsys):
     table = float_table(2 * C + 1)
     table[-1, 1] = math.inf
-    monkeypatch.setattr(cli, "cmd_conditional_state", lambda args: table_record(table))
+    monkeypatch.setattr(cli, "cmd_conditional_state", lambda args: table_record(array_rows(table)))
     assert cli.main(["conditional-state", "--p-excited", "0.5", "--horizon", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -278,7 +255,7 @@ def test_infinite_cell_in_a_later_chunk_exits_2(monkeypatch, capsys):
 def test_csv_of_an_array_table_is_that_of_its_lists():
     table = float_table(2 * C + 1)
     table[C, 1] = math.nan
-    text = render(table_record(table), "csv")
+    text = render(table_record(array_rows(table)), "csv")
     assert text == render(table_record(table.tolist()), "csv")
     assert text.count("\n") == 2 * C + 2
     assert text.splitlines()[C + 1] == f"{float(table[C, 0])!r},,{float(table[C, 2])!r}"
@@ -296,7 +273,7 @@ def test_written_slices_join_to_the_render(monkeypatch, tmp_path, capsys):
 
 
 def test_render_of_an_array_table_peaks_near_two_copies_of_the_text():
-    rec = table_record(float_table(100_001))
+    rec = table_record(array_rows(float_table(100_001)))
     tracemalloc.start()
     try:
         text = render(rec, "json")
