@@ -57,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
     argparse ignores an ``OSError`` from every message it prints; one from
     a message for stderr is still ignored.  A closed stdout is None, which
-    argparse would swap for stderr.  Subcommand parsers take this class too.
+    argparse would swap for stderr; a usage error with stderr closed exits
+    2 with nothing printed.  Subcommand parsers take this class too.
     """
 
     def _print_message(self, message: str, file=None) -> None:
@@ -65,6 +66,11 @@ class _Parser(argparse.ArgumentParser):
             _write_stdout(message)
         else:
             super()._print_message(message, file)
+
+    def error(self, message: str):
+        if sys.stderr is None:  # argparse would print the usage to stdout instead
+            self.exit(2)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,6 +247,8 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
     def rows(start: int, stop: int) -> list[list]:
         counts = stats.blackened_count[start:stop].tolist()
         excited = stats.survivor_excited_prob[start:stop].tolist()
+        if cfg.premeasure:  # NaN where no survivor is left: the value does not exist
+            excited = [None if math.isnan(p) else p for p in excited]
         return [[t, c, c / cfg.n_atoms, p] for t, c, p in zip(times[start:stop], counts, excited)]
 
     table = ComputedRows(len(times), rows)
@@ -354,6 +362,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (OSError, MemoryError) as err:
         _report(str(err) or "out of memory")
+        return 1
+    except ImportError as err:
+        # numpy failed to load at its first use.  Its own message is advice
+        # over many lines; the error it wraps names the failure.
+        while isinstance(err.__cause__, ImportError):
+            err = err.__cause__
+        _report(str(err).strip().partition("\n")[0])
         return 1
     return 3 if record.summary.get("passed") is False else 0
 

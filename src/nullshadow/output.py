@@ -10,16 +10,18 @@ Two formats, both byte-deterministic for a given record:
 
 Floats are written with Python repr semantics (shortest decimal that
 round-trips), so parsing a file back reproduces every value exactly.
-NaN is mapped to null / an empty cell to keep the JSON standard.
 
 A record holds plain Python values; its producer turns numpy ones into
-them.  A table is encoded a few hundred rows at a time, from contiguous
-slices of its rows.  A table whose rows are pure functions of their
-index, or slices of an array, may be a ``ComputedRows``, a length and a
-contiguous slice computed when asked for, so no more than one chunk of
-its rows exists at once.  The record text is built by one join of its
-pieces and written in slices, so rendering and writing peak at about
-two copies of the text.
+them and writes a missing value as None, null in JSON and an empty CSV
+cell.  Table cells are str, int, finite float or None, encoded as they
+are: a non-finite float in a JSON record raises ValueError.  A table is
+encoded a few hundred rows at a time, from contiguous slices of its
+rows.  A table whose rows are pure functions of their index, or slices
+of an array, may be a ``ComputedRows``, a length and a contiguous slice
+computed when asked for, so no more than one chunk of its rows exists
+at once.  The record text is built by one join of its pieces and
+written in slices, so rendering and writing peak at about two copies
+of the text.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import csv
 import errno
 import io
 import json
-import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
@@ -93,8 +94,8 @@ def render(record: OutputRecord, fmt: str) -> str:
             "scenario": record.scenario,
             "version": __version__,
             "seed": record.seed,
-            "config": _plain(record.config),
-            "summary": _plain(record.summary),
+            "config": record.config,
+            "summary": record.summary,
             "columns": list(record.columns),
         }
         text = json.dumps(head, indent=2, allow_nan=False)
@@ -104,7 +105,7 @@ def render(record: OutputRecord, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(record.columns)
         for chunk in _chunks(record.rows):
-            writer.writerows([_cell(v) for v in row] for row in chunk)
+            writer.writerows(chunk)
         return buf.getvalue()
     raise ValueError(f"unknown output format {fmt!r}")
 
@@ -160,38 +161,7 @@ def _rows_json(rows: Sequence[Sequence[object]]) -> list[str]:
 
 def _chunk_json(rows: Sequence[Sequence[object]]) -> str:
     """The rows of one chunk, each laid out as in the record, comma-separated."""
-    try:
-        text = _ROWS_ENCODER.encode(rows)
-    except ValueError:  # a NaN or infinite cell
-        rows = _plain(rows)
-        try:
-            text = _ROWS_ENCODER.encode(rows)
-        except ValueError:
-            # The C encoder leaves the value out; name it as json.dumps does.
-            bad = next((v for row in rows for v in row if v in (math.inf, -math.inf)), None)
-            if bad is None:
-                raise
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
+    text = _ROWS_ENCODER.encode(rows)
     laid_out = f"{_ROW_START}{text[2:-2].replace(_ROW_BOUNDARY, _ROW_JOIN)}{_ROW_END}"
     return laid_out.replace(_EMPTY_ROW, "[]")
 
-
-def _plain(value: object) -> object:
-    """The value with every NaN in it as None, JSON's null."""
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)

@@ -132,8 +132,6 @@ def read_csv_table(path):
 def _parse_cell(text):
     if text == "":
         return None
-    if text in ("true", "false"):
-        return text == "true"
     try:
         return int(text)
     except ValueError:

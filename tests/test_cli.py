@@ -24,7 +24,7 @@ from nullshadow.streams import uniforms_at
 from reference import read_csv_table
 from test_api import SRC, _fresh
 from test_interferometer import reference_fate
-from test_output import plain, reference_json
+from test_output import reference_json
 
 LN2 = math.log(2.0)
 
@@ -674,32 +674,36 @@ def test_json_file_is_the_reference_render(name, tmp_path):
 def test_a_computed_table_slices_as_its_whole_list(name):
     args = build_parser().parse_args(RENDER_RUNS[name])
     table = args.func(args).rows
-    whole = plain(table[:])  # NaN, which equals nothing, as None
+    whole = table[:]
     assert len(table) == len(whole) == args.grid
     n, c = len(whole), _CHUNK_ROWS
     for a, b in [(0, 1), (c - 1, c + 1), (c, 2 * c), (n - 1, n), (3, n - 2), (n, n + 5), (5, 2), (-3, None),
                  (-1, None), (-n - 5, 2)]:
-        assert plain(table[a:b]) == whole[a:b], (a, b)
+        assert table[a:b] == whole[a:b], (a, b)
     with pytest.raises(ValueError, match="contiguous"):
         table[1:n:c]
 
 
 # What a record may hold, by exact type: np.float64 subclasses float, and
-# its repr is not a float's.
-SCALARS = (str, int, float, bool, type(None))
+# its repr is not a float's.  A table cell is never a bool.
+CELLS = (str, int, float, type(None))
+SCALARS = (*CELLS, bool)
 
 
 def _not_plain(value):
-    """The values inside a config or summary value that are not plain Python."""
+    """The values inside a config or summary value that are not plain Python or not finite."""
     if type(value) is dict:
         return [bad for item in [*value, *value.values()] for bad in _not_plain(item)]
     if type(value) is list:
         return [bad for item in value for bad in _not_plain(item)]
+    if type(value) is float:
+        return [] if math.isfinite(value) else [value]
     return [] if type(value) in SCALARS else [value]
 
 
 # RENDER_RUNS hold every subcommand: decay-ensemble with and without
-# --premeasure (whose survivor cells turn NaN), ev with and without --shots.
+# --premeasure (whose survivor cells have no value once every atom has
+# emitted), ev with and without --shots.
 @pytest.mark.parametrize("name", RENDER_RUNS)
 def test_a_record_holds_plain_python_values(name):
     args = build_parser().parse_args(RENDER_RUNS[name])
@@ -712,7 +716,8 @@ def test_a_record_holds_plain_python_values(name):
         assert type(rows) is list
         # a row may be a tuple, which JSON writes as a list
         assert {type(row) for row in rows} <= {list, tuple}
-        assert {type(cell) for row in rows for cell in row} <= set(SCALARS), start
+        assert {type(cell) for row in rows for cell in row} <= set(CELLS), start
+        assert [cell for row in rows for cell in row if type(cell) is float and not math.isfinite(cell)] == []
 
 
 def _write_peak_per_byte(argv, out):
@@ -792,20 +797,18 @@ def test_overflowing_exponents_warn_nothing(argv, last_row, capsys):
     assert json.loads(captured.out)["rows"][-1] == last_row
 
 
+# The --premeasure run's table has its first empty survivor cell inside
+# its second chunk, so the CSV's empty cells meet the JSON's nulls there
+# and in every chunk after it.
 def test_csv_and_json_tables_carry_identical_values(tmp_path):
-    args = [
-        "decay-ensemble",
-        "--n-atoms", "300",
-        "--p-excited", "0.5",
-        "--horizon", "3",
-        "--seed", "5",
-    ]
-    cpath, jpath = tmp_path / "t.csv", tmp_path / "t.json"
-    assert run_cli(args + ["--out", str(cpath), "--format", "csv"]) == 0
-    assert run_cli(args + ["--out", str(jpath), "--format", "json"]) == 0
-    _, csv_rows = read_csv_table(str(cpath))
-    json_rows = json.loads(jpath.read_text())["rows"]
-    assert csv_rows == json_rows
+    decay = ["decay-ensemble", "--n-atoms", "300", "--p-excited", "0.5", "--horizon", "3", "--seed", "5"]
+    for args in (decay, RENDER_RUNS["decay-premeasure-700"]):
+        cpath, jpath = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run_cli(args + ["--out", str(cpath), "--format", "csv"]) == 0
+        assert run_cli(args + ["--out", str(jpath), "--format", "json"]) == 0
+        _, csv_rows = read_csv_table(str(cpath))
+        json_rows = json.loads(jpath.read_text())["rows"]
+        assert csv_rows == json_rows
 
 
 # The variables through which OpenBLAS takes its thread count.
@@ -952,9 +955,42 @@ def test_a_closed_stdout_does_not_stop_a_record_written_to_a_file(tmp_path):
     assert json.loads(out.read_text())["scenario"] == "ev"
 
 
+# A configuration error, then two usage errors, whose usage text argparse
+# would print to stdout.
 def test_a_closed_stderr_keeps_the_error_line_off_stdout():
-    child = _python_m(["ev", "--shots", "-1"], BUFFERED, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
-    assert (child.returncode, child.stdout) == (2, b"")
+    for argv in (["ev", "--shots", "-1"], ["ev", "--shots", "many"], ["bogus"]):
+        child = _python_m(argv, BUFFERED, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        assert (child.returncode, child.stdout) == (2, b""), argv
+
+
+# A numpy that fails to load as numpy does under a memory limit: advice
+# over many lines, opening with blank ones, wrapping the error that names
+# the failure.
+FAILING_NUMPY = """
+try:
+    raise ImportError("libfake.so: failed to map segment from shared object")
+except ImportError as exc:
+    raise ImportError("\\n\\nIMPORTANT: PLEASE READ THIS\\n\\nadvice") from exc
+"""
+
+
+# The run ends with one line, not a traceback.
+@pytest.mark.parametrize(
+    "halt, line",
+    [(True, "import of numpy halted; None in sys.modules"),
+     (False, "libfake.so: failed to map segment from shared object")],
+    ids=["halted", "wrapped"],
+)
+def test_a_failed_numpy_load_exits_1_with_one_line(halt, line, tmp_path):
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text(FAILING_NUMPY)
+    code = "import sys; " + ("sys.modules['numpy'] = None; " if halt else "")
+    code += f"import nullshadow.__main__ as m; sys.exit(m.run({DECAY!r}))"
+    path = os.pathsep.join(filter(None, [str(tmp_path), str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, timeout=120)
+    assert (child.returncode, child.stdout) == (1, b"")
+    assert child.stderr == f"nullshadow: error: {line}\n".encode()
 
 
 # Every float flag takes any float, NaN and infinities included, a
