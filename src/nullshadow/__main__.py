@@ -7,7 +7,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .cli import main
+from .cli import _report, main
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -26,9 +26,21 @@ def run(argv: Sequence[str] | None = None) -> int:
     it is.  Text that either stream refused stays in its buffer, so it is
     sent to the null device here; shutdown's flush would fail on it again
     and turn the exit code into 120.
+
+    A ``KeyboardInterrupt`` (SIGINT, Ctrl-C) writes one line,
+    ``nullshadow: error: interrupted``, instead of a traceback, and the
+    process then dies by SIGINT under its default handler: the parent sees
+    the signal (130 in a shell) as before, and no exit code is added.
     """
     try:
         return main(argv)
+    except KeyboardInterrupt:
+        import signal  # here, so that no run that is not interrupted loads it
+
+        _report("interrupted")
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
+        raise  # only where SIGINT is blocked: end as the interpreter would
     finally:
         for stream in (sys.stdout, sys.stderr):
             try:

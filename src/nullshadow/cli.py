@@ -51,15 +51,37 @@ CONFIG = {
 }
 
 
+class _NegativeNumber:
+    """argparse's test for a token that is a negative number, hence a value
+    and not an option: any token that ``float()`` reads and that starts with
+    a minus, ``-1e-3``, ``-.5e1`` and ``-inf`` included.  argparse's own
+    pattern has no exponent and no infinity."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        if not token.startswith("-"):
+            return False
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but text for stdout (``--version``, ``--help``) that
-    cannot be written raises, so that ``main`` exits 1 as for a record.
+    cannot be written raises, so that ``main`` exits 1 as for a record, and
+    a negative float in exponent form is a value (``--phase-a -1e-3``).
 
     argparse ignores an ``OSError`` from every message it prints; one from
     a message for stderr is still ignored.  A closed stdout is None, which
     argparse would swap for stderr; a usage error with stderr closed exits
     2 with nothing printed.  Subcommand parsers take this class too.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stdout:

@@ -19,8 +19,12 @@ from nullshadow.interferometer import EVConfig
 from nullshadow.master import MasterRunConfig
 from nullshadow.output import OutputRecord
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# The directory the package under test was imported from: src/ in a
+# checkout, site-packages where it is installed. Child processes put it
+# first on their path, so that they test the same package.
+SRC = Path(nullshadow.__file__).resolve().parents[1]
 
 PUBLIC = [
     "__version__",
@@ -174,7 +178,7 @@ def test_density_series_lives_in_core_which_imports_no_numpy():
 
 
 def _fresh(code: str, *args: str, flags: tuple[str, ...] = (), env: dict[str, str] | None = None):
-    """What ``code`` prints as JSON, run in a new interpreter that imports the package from src.
+    """What ``code`` prints as JSON, run in a new interpreter that imports the package under test.
 
     This process has numpy loaded already, so only a new one can show
     what the package itself imports. ``env`` replaces this process's
@@ -222,6 +226,12 @@ WITHOUT_ARRAYS = {
                                "--format", "csv"], 0),
     "conditional-state-excited": (["conditional-state", "--p-excited", "1", "--horizon", "2"], 0),
 }
+
+
+def test_a_child_imports_the_package_under_test():
+    # an installed package, not the checkout's src/ beside the tests
+    child = _fresh("import json, nullshadow; print(json.dumps(nullshadow.__file__))")
+    assert Path(child).resolve() == Path(nullshadow.__file__).resolve()
 
 
 def test_importing_the_package_loads_no_numpy():
@@ -293,7 +303,7 @@ except RuntimeError:
 
 def test_the_console_script_is_the_process_entry():
     # a text match, since Python 3.10 has no tomllib
-    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^\[project\.scripts\]\nnullshadow = "nullshadow\.__main__:run"$', pyproject, re.M)
 
 

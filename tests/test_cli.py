@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -267,6 +268,30 @@ def test_window_error_lines(base, flags, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"nullshadow: error: {message}\n"
+
+
+# A negative float that float() reads is a flag's value, not an option;
+# argparse's own test has no exponent and no infinity, so --phase-a -1e-3
+# exited 2 with "expected one argument".
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-.5e1"])
+def test_a_negative_float_in_exponent_form_is_a_value(value, capsys):
+    assert run_cli(["ev", "--phase-a", value]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["phase_a"] == float(value)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_a_negative_non_finite_value_reaches_the_finiteness_check(value, capsys):
+    assert run_cli(["ev", "--phase-a", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nullshadow: error: phase_a must be finite, got {float(value)}\n"
+
+
+def test_a_negative_float_is_still_no_int(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ev", "--seed", "-1e3"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: '-1e3'" in capsys.readouterr().err
 
 
 # Each count flag, the run it is given to, and the name its refusal uses.
@@ -859,7 +884,7 @@ UNBUFFERED = {**BUFFERED, "PYTHONUNBUFFERED": "1"}
 
 
 def _python_m(argv: list[str], env: dict[str, str], **streams) -> subprocess.CompletedProcess:
-    """``python -m nullshadow argv`` in a new interpreter that imports the package from src."""
+    """``python -m nullshadow argv`` in a new interpreter that imports the package under test."""
     path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "nullshadow", *argv], env={**env, "PYTHONPATH": path},
                           timeout=120, **streams)
@@ -991,6 +1016,29 @@ def test_a_failed_numpy_load_exits_1_with_one_line(halt, line, tmp_path):
                            capture_output=True, timeout=120)
     assert (child.returncode, child.stdout) == (1, b"")
     assert child.stderr == f"nullshadow: error: {line}\n".encode()
+
+
+# A run interrupted by SIGINT (Ctrl-C) halfway, here as it renders its
+# record: one line instead of a traceback, and death by SIGINT, as a shell
+# expects, rather than an exit code. The child installs Python's own
+# handler itself: a parent that ignores SIGINT would pass that on.
+INTERRUPTED = """
+import os, signal, sys
+import nullshadow.__main__ as m, nullshadow.output as output
+signal.signal(signal.SIGINT, signal.default_int_handler)
+def render(record, fmt):
+    os.kill(os.getpid(), signal.SIGINT)
+output.render = render
+sys.exit(m.run(sys.argv[1:]))
+"""
+
+
+def test_an_interrupted_run_prints_one_line_and_dies_by_sigint():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", INTERRUPTED, *DECAY], env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, timeout=120)
+    assert (child.returncode, child.stdout) == (-signal.SIGINT, b"")
+    assert child.stderr == b"nullshadow: error: interrupted\n"
 
 
 # Every float flag takes any float, NaN and infinities included, a
