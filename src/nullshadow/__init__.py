@@ -8,7 +8,7 @@ it: importing the package, ``--version``, ``--help``, ``ev`` without
 before any array is built never load it.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .core import (
     AtomParams,
@@ -17,16 +17,11 @@ from .core import (
     QubitState,
     normalize,
 )
-from .dynamics import (
-    no_jump_series,
-    sample_jump_times,
-)
+from .dynamics import no_jump_series
 from .ensemble import (
     EnsembleConfig,
     EnsembleStats,
     run_ensemble,
-    run_trajectories,
-    trajectory_state_series,
 )
 from .interferometer import (
     EVConfig,
@@ -35,9 +30,7 @@ from .interferometer import (
 )
 from .master import (
     MasterRunConfig,
-    average_trajectories,
     integrate_master,
-    max_elementwise_deviation,
 )
 
 __all__ = [
@@ -47,18 +40,13 @@ __all__ = [
     "QubitState",
     "normalize",
     "no_jump_series",
-    "sample_jump_times",
     "EnsembleConfig",
     "EnsembleStats",
     "run_ensemble",
-    "run_trajectories",
-    "trajectory_state_series",
     "EVConfig",
     "count_outcomes",
     "detection_probs",
     "DensitySeries",
     "MasterRunConfig",
-    "average_trajectories",
     "integrate_master",
-    "max_elementwise_deviation",
 ]

@@ -21,7 +21,8 @@ of an array, may be a ``ComputedRows``, a length and a contiguous slice
 computed when asked for, so no more than one chunk of its rows exists
 at once.  The record text is built by one join of its pieces and
 written in slices, so rendering and writing peak at about two copies
-of the text.
+of the text.  A record file is written beside its path and renamed
+over it after the last byte, so a failed write leaves no partial record.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import csv
 import errno
 import io
 import json
+import os
+import stat
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 
 from . import __version__
-
-SCHEMA_RESOURCE = "output_record.schema.json"
 
 
 # scenario: str, seed: int | None, config and summary: dicts of plain values,
@@ -111,13 +112,69 @@ def render(record: OutputRecord, fmt: str) -> str:
 
 
 def write_record(record: OutputRecord, path: str | None, fmt: str) -> None:
-    """Write to a file, or to stdout when no path is given."""
+    """Write to a file, or to stdout when no path is given.
+
+    A path that names a regular file or nothing yet is written whole or
+    not at all, by ``_write_replacing``.  Any other path, such as
+    ``/dev/null``, a FIFO or a symlink, is written in place.
+    """
     text = render(record, fmt)
     if path is None:
         _write_stdout(text)
+    elif _replaceable(path):
+        _write_replacing(path, text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             _write_slices(fh, text)
+
+
+def _replaceable(path: str) -> bool:
+    """Whether ``path`` names a regular file, not a symlink, or nothing yet."""
+    if not os.path.basename(path):  # "" or a trailing slash: left to open()'s own error
+        return False
+    try:
+        return stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        return True
+    except OSError:  # the path cannot be resolved: left to open()'s own error
+        return False
+
+
+def _write_replacing(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then rename it over ``path``.
+
+    A write that fails or is interrupted removes the new file and leaves
+    ``path`` as it was.  The new file keeps the mode of the file it
+    replaces, or gets the one ``open(path, "w")`` gives.  Where
+    ``open(path, "w")`` would fail, or the directory takes no new file,
+    nothing is written, and the error names ``path``.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY)
+    except FileNotFoundError:
+        mode = None
+    else:
+        try:
+            mode = stat.S_IMODE(os.fstat(fd).st_mode)
+        finally:
+            os.close(fd)
+    temp = os.path.join(os.path.dirname(path), f".nullshadow-{os.getpid()}-{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            _write_slices(fh, text)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:  # interrupted just after the rename
+            pass
+        raise
 
 
 def _write_stdout(text: str) -> None:
@@ -131,14 +188,6 @@ def _write_stdout(text: str) -> None:
 def _write_slices(fh: io.TextIOBase, text: str) -> None:
     for start in range(0, len(text), _WRITE_CHARS):
         fh.write(text[start : start + _WRITE_CHARS])
-
-
-def load_schema() -> dict[str, object]:
-    """The JSON schema that every JSON record must satisfy."""
-    from importlib import resources
-
-    text = resources.files("nullshadow.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8")
-    return json.loads(text)
 
 
 def _chunks(rows: Sequence[Sequence[object]]) -> Iterator[Sequence[Sequence[object]]]:

@@ -3,15 +3,18 @@
 No subcommand runs these, so they live with the tests: one density
 matrix and the projector onto a pure state, the generator and the staged
 RK4 step built from it, which the package's step is held within rounding
-of, the state check, the mean blackening law, a typed CSV reader, the two
-basis states, and the scalar no-click state that
-``dynamics.no_jump_series`` is compared with, and the per-time closed form
-that ``dynamics.no_click_populations`` is held bit-equal to.
+of, the state check, the mean blackening law, a typed CSV reader, the
+loader of the record schema, the two basis states, and the scalar
+no-click state that ``dynamics.no_jump_series`` is compared with, and the
+per-time closed form that ``dynamics.no_click_populations`` is held
+bit-equal to.
 """
 
 import cmath
 import csv
+import json
 import math
+from importlib import resources
 from typing import NamedTuple
 
 from nullshadow.core import QubitState, normalize
@@ -118,6 +121,14 @@ def expected_blackened(n, p1, gamma, t):
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return n * p1 * -math.expm1(-gamma * t)
+
+
+SCHEMA_RESOURCE = "output_record.schema.json"
+
+
+def load_schema():
+    """The JSON schema that every JSON record must satisfy, from the data of the package under test."""
+    return json.loads(resources.files("nullshadow.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8"))
 
 
 def read_csv_table(path):

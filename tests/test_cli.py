@@ -14,15 +14,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nullshadow import cli
+from nullshadow import cli, output
 from nullshadow.cli import build_parser, main, time_grid
 from nullshadow.core import MAX_COUNT, AtomParams, QubitState
 from nullshadow.dynamics import no_jump_series
 from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detection_probs
 from nullshadow.master import MAX_STEPS
-from nullshadow.output import _CHUNK_ROWS, ComputedRows, load_schema
+from nullshadow.output import _CHUNK_ROWS, ComputedRows
 from nullshadow.streams import uniforms_at
-from reference import read_csv_table
+from reference import load_schema, read_csv_table
 from test_api import SRC, _fresh
 from test_interferometer import reference_fate
 from test_output import reference_json
@@ -1039,6 +1039,86 @@ def test_an_interrupted_run_prints_one_line_and_dies_by_sigint():
                            capture_output=True, timeout=120)
     assert (child.returncode, child.stdout) == (-signal.SIGINT, b"")
     assert child.stderr == b"nullshadow: error: interrupted\n"
+
+
+# An --out file is written beside its path and renamed over it at the end:
+# a write that fails or is interrupted leaves the old file, or none, and
+# no partial record.
+PRIOR = b"the record of an earlier run\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a write past RLIMIT_FSIZE fails with EFBIG on Linux")
+def test_a_write_past_the_file_size_limit_leaves_the_old_file(tmp_path):
+    import resource
+
+    out = tmp_path / "cond.csv"
+    out.write_bytes(PRIOR)
+    limit = 64 * 1024  # the CSV is ~1 MB
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    child = _python_m(DENSE_COND + ["--format", "csv", "--out", str(out)], BUFFERED, capture_output=True,
+                      preexec_fn=limit_file_size)
+    assert (child.returncode, child.stdout) == (1, b"")
+    assert child.stderr == b"nullshadow: error: [Errno 27] File too large\n"
+    assert out.read_bytes() == PRIOR
+    assert os.listdir(tmp_path) == [out.name]
+
+
+@pytest.mark.parametrize("prior", [None, PRIOR], ids=["new", "existing"])
+def test_an_interrupted_write_leaves_no_partial_file(prior, tmp_path, monkeypatch):
+    out = tmp_path / "ev.json"
+    if prior is not None:
+        out.write_bytes(prior)
+
+    def interrupted(fh, text):
+        fh.write(text[:10])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(output, "_write_slices", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["ev", "--blocker", "b", "--out", str(out)])
+    assert os.listdir(tmp_path) == ([] if prior is None else [out.name])
+    if prior is not None:
+        assert out.read_bytes() == prior
+
+
+def test_a_replaced_file_keeps_its_mode_and_a_new_one_gets_the_default(tmp_path):
+    old, new, reference = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "reference.json"
+    old.write_bytes(PRIOR)
+    old.chmod(0o640)
+    with open(reference, "w"):
+        pass
+    for path in (old, new):
+        assert run_cli(["ev", "--blocker", "b", "--out", str(path)]) == 0
+    assert old.stat().st_mode & 0o7777 == 0o640
+    assert new.stat().st_mode == reference.stat().st_mode
+    assert json.loads(old.read_text()) == json.loads(new.read_text())
+    assert sorted(os.listdir(tmp_path)) == ["new.json", "old.json", "reference.json"]
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root may write a read-only file")
+def test_a_file_that_cannot_be_opened_for_writing_is_left_as_it_was(tmp_path, capsys):
+    out = tmp_path / "read-only.json"
+    out.write_bytes(PRIOR)
+    out.chmod(0o444)
+    assert run_cli(["ev", "--blocker", "b", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"nullshadow: error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert out.read_bytes() == PRIOR and out.stat().st_mode & 0o7777 == 0o444
+    assert os.listdir(tmp_path) == [out.name]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null and symlinks")
+def test_a_device_and_a_symlink_are_written_in_place(tmp_path, capsys):
+    assert run_cli(["ev", "--blocker", "b", "--out", os.devnull]) == 0
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(PRIOR)
+    link.symlink_to(target)
+    assert run_cli(["ev", "--blocker", "b", "--out", str(link)]) == 0
+    assert link.is_symlink() and json.loads(target.read_text())["scenario"] == "ev"
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+    assert capsys.readouterr() == ("", "")
 
 
 # Every float flag takes any float, NaN and infinities included, a

@@ -343,9 +343,6 @@ class TestConditionalExcitedProb:
     def test_initial_value(self):
         assert self.excited(0.5, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
-    def test_one_third_at_ln2(self):
-        assert self.excited(0.5, 1.0, LN2) == pytest.approx(1 / 3, abs=1e-12)
-
     def test_century_wait_with_minute_lifetime(self):
         # lifetime 1 minute, silence for 100 years of minutes
         v = self.excited(0.5, 1.0, 100 * 365 * 24 * 60)

