@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import jsonschema
@@ -1039,6 +1040,105 @@ def test_an_interrupted_run_prints_one_line_and_dies_by_sigint():
                            capture_output=True, timeout=120)
     assert (child.returncode, child.stdout) == (-signal.SIGINT, b"")
     assert child.stderr == b"nullshadow: error: interrupted\n"
+
+
+# A table of at least 2 * _PART_ROWS rows is encoded by up to one process
+# per usable CPU, the run's own and a helper forked for each other part;
+# none is forked while a second thread runs or when one CPU is usable.
+SPLIT_FORKS = """
+import json, os, sys, threading
+from nullshadow import cli, output
+forks, fork = [], os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+mode, argv = sys.argv[1], json.loads(sys.argv[2])
+if mode == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+if mode == "thread":
+    thread.start()
+code = cli.main(argv)
+stop.set()
+if mode == "thread":
+    thread.join()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps([code, len(forks), left]))
+"""
+SPLIT_COND = ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "50001"]
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+NEEDS_TWO_CPUS = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or USABLE_CPUS < 2,
+    reason="a table is split only on Linux with at least two usable CPUs",
+)
+
+
+@NEEDS_TWO_CPUS
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_large_table_forks_one_helper_per_further_part(fmt, tmp_path):
+    outs = {}
+    for mode in ("split", "thread", "one-cpu"):
+        outs[mode] = tmp_path / f"{mode}.{fmt}"
+        argv = SPLIT_COND + ["--format", fmt, "--out", str(outs[mode])]
+        expected = min(USABLE_CPUS, 50001 // output._PART_ROWS) - 1 if mode == "split" else 0
+        assert _fresh(SPLIT_FORKS, mode, json.dumps(argv)) == [0, expected, False], mode
+    assert outs["split"].read_bytes() == outs["thread"].read_bytes() == outs["one-cpu"].read_bytes()
+
+
+# SIGINT (Ctrl-C) while the helpers run, to the whole process group as a
+# terminal sends it or to the run's own process alone: one line, death by
+# SIGINT, and no process of the group left, a helper that is a zombie
+# included.  The child tells the test of each helper it forks.
+SIGINT_MID_RENDER = """
+import os, signal, sys
+import nullshadow.__main__ as m
+signal.signal(signal.SIGINT, signal.default_int_handler)
+notify, fork = int(sys.argv[1]), os.fork
+def forked():
+    pid = fork()
+    if pid:
+        os.write(notify, b"f")
+    return pid
+os.fork = forked
+sys.exit(m.run(sys.argv[2:]))
+"""
+
+
+@NEEDS_TWO_CPUS
+@pytest.mark.parametrize("target", ["group", "parent"])
+def test_sigint_while_helpers_run_leaves_no_process(target):
+    argv = ["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", "200001"]
+    helpers = min(USABLE_CPUS, 200001 // output._PART_ROWS) - 1
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    try:
+        child = subprocess.Popen([sys.executable, "-c", SIGINT_MID_RENDER, str(write), *argv], pass_fds=[write],
+                                 env={**os.environ, "PYTHONPATH": path}, start_new_session=True,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    try:
+        forked = b""
+        while len(forked) < helpers:
+            chunk = os.read(read, helpers)
+            assert chunk, "the run ended before it forked its helpers"
+            forked += chunk
+    finally:
+        os.close(read)
+    time.sleep(0.05)  # the run records its last helper, then encodes its own part for ~0.3 s
+    (os.killpg if target == "group" else os.kill)(child.pid, signal.SIGINT)
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (-signal.SIGINT, b"nullshadow: error: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
 
 
 # An --out file is written beside its path and renamed over it at the end:

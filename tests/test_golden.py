@@ -14,7 +14,12 @@ in.  Exit codes are compared in every environment; digests only where the
 environment equals the header's, and elsewhere the byte test skips with a
 reason naming both.  A second test runs three lines in child processes,
 once with every SIMD target that numpy dispatches to on this CPU and once
-with all of them turned off, and requires the same stdout from both.
+with all of them turned off, and requires the same stdout from both.  A
+third runs the lines whose tables are large enough to be encoded by
+several processes in child processes, once so and once pinned to one CPU,
+and requires the same file from both and, where the environment matches,
+the golden digest: this process has numpy's BLAS threads, so it encodes
+every table alone.
 
 A change that moves bytes on purpose rewrites the file and names the lines
 that moved in CHANGES.md.  The rewrite keeps the argvs and replaces the
@@ -194,6 +199,39 @@ def test_bytes_do_not_depend_on_simd_dispatch(argv, dispatch_targets):
     full = _python("-m", "nullshadow", *argv)
     assert full == _python("-m", "nullshadow", *argv, disable=dispatch_targets), (
         f"`nullshadow {shlex.join(argv)}` wrote other bytes with {dispatch_targets} turned off")
+
+
+# The corpus lines whose tables are split across processes where two CPUs
+# are usable: at least 2 * output._PART_ROWS rows.
+SPLIT_LINES = [
+    ["conditional-state", "--p-excited", "0.5", "--gamma", "1", "--horizon", "10", "--grid", "50001",
+     "--format", "json", "--out", OUT],
+    ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "1000", "--horizon", "5", "--grid", "9001",
+     "--seed", "1", "--format", "csv", "--out", OUT],
+    ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "1000", "--horizon", "5", "--grid", "9001",
+     "--seed", "1", "--format", "json", "--out", OUT],
+]
+PINNED_OR_NOT = """
+import os, sys
+import nullshadow.__main__ as m
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(m.run(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a process to one CPU by sched_setaffinity")
+@pytest.mark.parametrize("argv", SPLIT_LINES, ids=lambda argv: f"{argv[0]}-{argv[-3]}")
+def test_bytes_do_not_depend_on_the_split(argv, golden, tmp_path):
+    digests = []
+    for mode in ("split", "one-cpu"):
+        out = tmp_path / mode
+        _python("-c", PINNED_OR_NOT, mode, *[str(out) if arg == OUT else arg for arg in argv])
+        digests.append(_digest(out.read_bytes()))
+    assert digests[0] == digests[1], f"`nullshadow {shlex.join(argv)}` wrote other bytes on one CPU"
+    [entry] = [entry for entry in golden["entries"] if entry["argv"] == argv]
+    if golden["environment"] == environment():
+        assert digests[0] == entry["out"], f"`nullshadow {shlex.join(argv)}` differs from its golden digest"
 
 
 def main() -> None:

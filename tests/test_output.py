@@ -1,6 +1,12 @@
+import csv
+import errno
+import io
 import itertools
 import json
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import jsonschema
@@ -10,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullshadow import __version__, cli, output
-from nullshadow.output import _CHUNK_ROWS, ComputedRows, OutputRecord, render, write_record
+from nullshadow.output import _CHUNK_ROWS, _PART_ROWS, ComputedRows, OutputRecord, render, write_record
 from reference import load_schema, read_csv_table
 
 
@@ -26,6 +32,15 @@ def reference_json(record):
         "rows": record.rows[:],
     }
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
+def reference_csv(record):
+    """The CSV format, byte for byte: one csv.writer over the header and every row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(record.columns)
+    writer.writerows(record.rows[:])
+    return buf.getvalue()
 
 
 def sample_record():
@@ -264,3 +279,225 @@ def test_computed_rows_compute_the_chunks_the_render_reads():
     assert render(table_record(rows), "json") == reference_json(table_record(whole))
     assert calls == [(0, C), (C, 2 * C), (2 * C, 2 * C + 1)]
     assert render(table_record(rows), "csv") == render(table_record(whole), "csv")
+
+
+# A table of at least 2 * _PART_ROWS rows is split across forked helpers
+# only in a process with one thread; this one has numpy's BLAS threads, so
+# the tests below declare it single-threaded and set the usable CPUs, and
+# with them the number of parts.  Python 3.12 warns of a fork under threads.
+FORKS_UNDER_THREADS = pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks:DeprecationWarning")
+
+
+def split_into(monkeypatch, parts):
+    """Let render split a large table into ``parts`` parts here; the pids it forks, as it forks them."""
+    monkeypatch.setattr(output, "_single_threaded", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+SPLIT_ROWS = 5 * _PART_ROWS + 1
+
+
+def cli_record(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def split_records():
+    conditional = cli_record(["conditional-state", "--p-excited", "0.5", "--horizon", "10", "--grid", str(SPLIT_ROWS)])
+    decay = cli_record(["decay-ensemble", "--premeasure", "--p-excited", "1", "--n-atoms", "20", "--horizon", "4",
+                        "--grid", str(SPLIT_ROWS), "--seed", "1"])
+    # str cells, escaped in JSON and quoted in CSV, from the fourth part on
+    strings = [[i, i / 3, EDGE_STRINGS[i % len(EDGE_STRINGS)] if i >= 3 * _PART_ROWS else None]
+               for i in range(SPLIT_ROWS)]
+    return {"conditional-state": conditional, "decay-premeasure": decay, "strings": table_record(strings)}
+
+
+@pytest.fixture(scope="module")
+def records():
+    return split_records()
+
+
+def test_the_premeasure_nulls_start_after_the_first_of_two_parts(records):
+    survivor = [row[-1] for row in records["decay-premeasure"].rows[:]]
+    assert len(survivor) // 2 < survivor.index(None) < len(survivor)
+
+
+@FORKS_UNDER_THREADS
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", ["conditional-state", "decay-premeasure", "strings"])
+def test_a_split_table_renders_the_bytes_of_one_process(name, fmt, records, monkeypatch):
+    record = records[name]
+    expected = (reference_json if fmt == "json" else reference_csv)(record)
+    for parts in (1, 2, 3, 5):
+        forks = split_into(monkeypatch, parts)
+        assert render(record, fmt) == expected, parts
+        assert len(forks) == parts - 1
+
+
+# A helper's text is read in blocks that may end inside a character.
+@FORKS_UNDER_THREADS
+def test_characters_split_between_reads_of_a_pipe_arrive_whole(monkeypatch):
+    record = table_record([[i, "\u00e9\u20ac\U0001d11e", None] for i in range(2 * _PART_ROWS)])
+    forks = split_into(monkeypatch, 2)
+    monkeypatch.setattr(output, "_READ_BYTES", 5)
+    assert render(record, "csv") == reference_csv(record)
+    assert len(forks) == 1
+
+
+def _in_helpers(monkeypatch, fail):
+    """Make ``fail()`` run in every helper as it encodes its first JSON chunk."""
+    parent, encode = os.getpid(), output._chunk_json
+
+    def chunk_json(rows):
+        if os.getpid() != parent:
+            fail()
+        return encode(rows)
+
+    monkeypatch.setattr(output, "_chunk_json", chunk_json)
+
+
+def _raise_memory_error():
+    raise MemoryError
+
+
+HELPER_FAILURES = {
+    "memory-error": _raise_memory_error,
+    "exit-1": lambda: os._exit(1),
+    "killed": lambda: os.kill(os.getpid(), signal.SIGKILL),
+}
+
+
+# A helper that fails costs time only: this process encodes its part again.
+@FORKS_UNDER_THREADS
+@pytest.mark.parametrize("failure", HELPER_FAILURES)
+def test_a_failed_helper_leaves_the_same_text(failure, records, monkeypatch):
+    record = records["conditional-state"]
+    expected = reference_json(record)
+    forks = split_into(monkeypatch, 3)
+    _in_helpers(monkeypatch, HELPER_FAILURES[failure])
+    assert render(record, "json") == expected
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse(*args):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+# With no pipe or no process to be had, as under RLIMIT_NPROC, every part
+# is encoded here.
+@FORKS_UNDER_THREADS
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_helper_that_cannot_be_made_leaves_the_same_text(call, records, monkeypatch):
+    record = records["conditional-state"]
+    split_into(monkeypatch, 3)
+    monkeypatch.setattr(os, call, _refuse)
+    assert render(record, "json") == reference_json(record)
+
+
+# A helper killed halfway through writing its text leaves a short stream.
+@FORKS_UNDER_THREADS
+def test_a_helper_killed_while_it_writes_leaves_the_same_text(records, monkeypatch):
+    record = records["strings"]
+    expected = reference_csv(record)
+    forks = split_into(monkeypatch, 2)
+    parent = os.getpid()
+
+    class HalfWritten(io.TextIOWrapper):
+        def writelines(self, pieces):
+            super().writelines(pieces[: len(pieces) // 2])
+            self.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def pipe_open(fd, *args, **kwargs):
+        if os.getpid() == parent:
+            return open(fd, *args, **kwargs)
+        return HalfWritten(open(fd, "wb"), encoding="utf-8", newline="")
+
+    monkeypatch.setattr(output, "open", pipe_open, raising=False)
+    assert render(record, "csv") == expected
+    assert len(forks) == 1
+
+
+# A caller that ignores SIGCHLD has its children reaped by the system, so no
+# helper's exit status can be read, and every part is encoded again here.
+@FORKS_UNDER_THREADS
+def test_helpers_reaped_by_the_system_leave_the_same_text(records, monkeypatch):
+    record = records["conditional-state"]
+    forks = split_into(monkeypatch, 3)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert render(record, "json") == reference_json(record)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 2
+
+
+# The serial path's error, from the part that holds the first bad cell.
+@FORKS_UNDER_THREADS
+def test_a_non_finite_float_in_the_last_part_exits_2_as_in_one_process(monkeypatch, capsys):
+    table = float_table(3 * _PART_ROWS + 1)
+    table[-2, 1] = math.inf
+    record = table_record(array_rows(table))
+    split_into(monkeypatch, 1)
+    with pytest.raises(ValueError) as serial:
+        render(record, "json")
+    forks = split_into(monkeypatch, 3)
+    with pytest.raises(ValueError) as split:
+        render(record, "json")
+    assert str(split.value) == str(serial.value) and len(forks) == 2
+    monkeypatch.setattr(cli, "cmd_conditional_state", lambda args: record)
+    assert cli.main(["conditional-state", "--p-excited", "0.5", "--horizon", "1"]) == 2
+    assert capsys.readouterr() == ("", f"nullshadow: error: {serial.value}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# An exception here, an interrupt included, SIGKILLs and reaps the helpers
+# that still run; each of these would sleep for a minute.
+@FORKS_UNDER_THREADS
+def test_an_interrupt_while_helpers_run_leaves_no_process(records, monkeypatch):
+    forks = split_into(monkeypatch, 3)
+    parent, encode = os.getpid(), output._chunk_json
+
+    def chunk_json(rows):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif forks:
+            raise KeyboardInterrupt
+        return encode(rows)
+
+    monkeypatch.setattr(output, "_chunk_json", chunk_json)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        render(records["conditional-state"], "json")
+    assert len(forks) == 2 and time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_process_without_fork_or_proc_encodes_alone(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(output, "_single_threaded", lambda: True)
+    assert output._parts(SPLIT_ROWS) == 4
+    assert output._parts(2 * _PART_ROWS - 1) == 1
+    monkeypatch.delattr(os, "fork")
+    assert output._parts(SPLIT_ROWS) == 1
+    monkeypatch.undo()
+
+    def no_proc(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert output._single_threaded() is False
