@@ -19,10 +19,8 @@ encoded a few hundred rows at a time, from contiguous slices of its
 rows.  A table whose rows are pure functions of their index, or slices
 of an array, may be a ``ComputedRows``, a length and a contiguous slice
 computed when asked for, so no more than one chunk of its rows exists
-at once.  On Linux, a large table in a process of one thread is split
-into contiguous parts, one per usable CPU, and a helper process forked
-for each part after the first encodes it and sends its text back over a
-pipe; the bytes do not depend on the split.  The record text is built
+at once.  A large table's chunks may be encoded by several processes
+(``_parts``); the bytes do not depend on how.  The record text is built
 by one join of its pieces and written in slices, so rendering and
 writing peak at about two copies of the text.  A record file is written
 beside its path and renamed over it after the last byte, so a failed
@@ -31,7 +29,6 @@ write leaves no partial record.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import errno
 import io
@@ -43,6 +40,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from . import __version__
+from ._parts import pieces
 
 
 # scenario: str, seed: int | None, config and summary: dicts of plain values,
@@ -91,7 +89,7 @@ _EMPTY_ROW = _ROW_START + _ROW_END
 # a few hundred KB (4096 rows) left heap holes worth ~3 MB of peak RSS.
 _CHUNK_ROWS = 256
 # A table of n rows is encoded in min(usable CPUs, n // _PART_ROWS) parts
-# by as many processes, and in this one alone below two (``_encoded_rows``).
+# by as many processes, and in this one alone below two (``_parts``).
 # Two parts rendered faster than one from ~1 500 rows on a shared 2-core
 # VM, where a fork, its pipe and its reaping cost 0.6-1.4 ms; the helpers
 # are forked one after another, so on a host of many CPUs larger parts
@@ -100,8 +98,6 @@ _CHUNK_ROWS = 256
 _PART_ROWS = 2048
 # Characters per write call, so encoding to UTF-8 copies one slice at a time.
 _WRITE_CHARS = 1 << 20
-# Bytes per read of a helper's pipe: a pipe holds 64 KiB by default on Linux.
-_READ_BYTES = 1 << 16
 
 
 def render(record: OutputRecord, fmt: str) -> str:
@@ -115,11 +111,14 @@ def render(record: OutputRecord, fmt: str) -> str:
             "columns": list(record.columns),
         }
         text = json.dumps(head, indent=2, allow_nan=False)
-        rows = _encoded_rows(record.rows, _chunk_json, _ROW_SEP)
+        # a chunk that does not start the table begins with the separator between two rows
+        rows = pieces(len(record.rows), _CHUNK_ROWS, _PART_ROWS,
+                      lambda a, b: (_ROW_SEP if a else "") + _chunk_json(record.rows[a:b]))
         table = ["[\n    ", *rows, "\n  ]"] if rows else ["[]"]
         return "".join([text[: -len("\n}")], ',\n  "rows": ', *table, "\n}\n"])
     if fmt == "csv":
-        return "".join([_chunk_csv([record.columns]), *_encoded_rows(record.rows, _chunk_csv)])
+        rows = pieces(len(record.rows), _CHUNK_ROWS, _PART_ROWS, lambda a, b: _chunk_csv(record.rows[a:b]))
+        return "".join([_chunk_csv([record.columns]), *rows])
     raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -200,150 +199,6 @@ def _write_stdout(text: str) -> None:
 def _write_slices(fh: io.TextIOBase, text: str) -> None:
     for start in range(0, len(text), _WRITE_CHARS):
         fh.write(text[start : start + _WRITE_CHARS])
-
-
-def _encoded_rows(rows: Sequence[Sequence[object]], encode: Callable[[Sequence], str], sep: str = "") -> list[str]:
-    """The table's text as pieces: ``encode`` of each chunk of _CHUNK_ROWS rows, in order, ``sep`` between two.
-
-    The rows are split at chunk boundaries into ``_parts(len(rows))``
-    contiguous parts.  This process encodes the first part while a helper
-    process forked for each other part encodes that part; their texts are
-    read back in order, each from its helper's pipe.  A part whose helper
-    was not made or did not exit 0 is encoded here, so the pieces join to
-    the same text, and raise the same error, as with no helper.  An
-    exception, KeyboardInterrupt included, SIGKILLs and reaps every helper
-    still running before it propagates.
-    """
-    n_rows, parts = len(rows), _parts(len(rows))
-    bounds = [n_rows * i // parts // _CHUNK_ROWS * _CHUNK_ROWS for i in range(parts)] + [n_rows]
-    helpers: dict[int, int] = {}  # pid: the read end of its pipe, for each helper not yet reaped
-    try:
-        later = [(_fork_helper(rows, start, stop, encode, sep, helpers), start, stop)
-                 for start, stop in zip(bounds[1:-1], bounds[2:])]
-        pieces = _encode_part(rows, bounds[0], bounds[1], encode, sep)
-        for pid, start, stop in later:
-            part = None if pid is None else _collect(pid, helpers)
-            if part is None:
-                part = _encode_part(rows, start, stop, encode, sep)
-            pieces += [sep, *part]
-    except BaseException:
-        if helpers:
-            _stop(helpers)
-        raise
-    return pieces
-
-
-def _parts(n_rows: int) -> int:
-    """How many processes encode a table of ``n_rows`` rows.
-
-    One per usable CPU, and at most one per _PART_ROWS rows; one where
-    ``os.fork`` is missing, or where this process has more than one thread
-    (a forked child holds a copy of any lock another thread held) or no
-    /proc to count them in.
-    """
-    parts = n_rows // _PART_ROWS
-    if parts < 2 or not hasattr(os, "fork") or not _single_threaded():
-        return 1
-    return min(len(os.sched_getaffinity(0)), parts)
-
-
-def _single_threaded() -> bool:
-    """Whether this process has one OS thread; False where /proc cannot tell."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _encode_part(rows: Sequence[Sequence[object]], start: int, stop: int, encode: Callable[[Sequence], str],
-                 sep: str, parent: int | None = None) -> list[str]:
-    """The pieces of rows start..stop-1, which begin a chunk and end one or the table.
-
-    In a helper, ``parent`` is the pid it was forked from, and the helper
-    gives up between two chunks once that process is gone.
-    """
-    pieces = []
-    for first in range(start, stop, _CHUNK_ROWS):
-        if parent is not None and os.getppid() != parent:
-            raise ProcessLookupError("the process that reads this part is gone")
-        pieces += [sep, encode(rows[first : first + _CHUNK_ROWS])]
-    return pieces[1:]
-
-
-def _fork_helper(rows: Sequence[Sequence[object]], start: int, stop: int, encode: Callable[[Sequence], str],
-                 sep: str, helpers: dict[int, int]) -> int | None:
-    """Fork a helper that writes the text of rows start..stop-1 to a pipe; its pid, recorded in ``helpers``.
-
-    None when no pipe or process could be made.  The helper encodes its
-    whole part before it writes any of it, and its whole body, from the
-    return of ``os.fork``, is in a ``try`` whose ``finally`` ends in
-    ``os._exit``: it exits 0 once all of its text is written and 1 on any
-    exception, SIGINT's included, with no atexit handler, no flush of an
-    inherited buffer and nothing on stderr.
-    """
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    parent, status = os.getpid(), 1
-    try:
-        try:
-            pid = os.fork()
-        except OSError:
-            pid = None
-        if pid == 0:
-            for fd in (read, *helpers.values()):
-                os.close(fd)
-            pieces = _encode_part(rows, start, stop, encode, sep, parent)
-            with open(write, "w", encoding="utf-8", newline="") as pipe:
-                pipe.writelines(pieces)
-            status = 0
-    finally:
-        if os.getpid() != parent:
-            os._exit(status)
-        os.close(write)
-    if pid is None:
-        os.close(read)
-    else:
-        helpers[pid] = read
-    return pid
-
-
-def _collect(pid: int, helpers: dict[int, int]) -> list[str] | None:
-    """The text helper ``pid`` wrote, in pieces, or None unless it exited 0; the helper is reaped.
-
-    The pipe is read and decoded a block at a time: a buffer grown to the
-    size of the part, and then decoded whole, raised the peak RSS of a
-    10^6-row decay-ensemble JSON render by ~10 MB.
-    """
-    fd, decoder, pieces = helpers[pid], codecs.getincrementaldecoder("utf-8")(), []
-    while block := os.read(fd, _READ_BYTES):
-        pieces.append(decoder.decode(block))
-    try:
-        status = os.waitpid(pid, 0)[1]
-    except ChildProcessError:  # reaped by the system, as under SIGCHLD's SIG_IGN: its status is unknown
-        status = None
-    del helpers[pid]
-    os.close(fd)
-    if status != 0:
-        return None
-    pieces.append(decoder.decode(b"", final=True))
-    return pieces
-
-
-def _stop(helpers: dict[int, int]) -> None:
-    """SIGKILL and reap every helper in ``helpers`` still running, and close every pipe."""
-    import signal  # here, so that no run that ends normally loads it
-
-    for pid, fd in helpers.items():
-        os.close(fd)
-        try:
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped just before the exception
-            pass
-    helpers.clear()
 
 
 def _chunk_csv(rows: Sequence[Sequence[object]]) -> str:

@@ -253,7 +253,7 @@ class TestDetectionProbs:
             assert tuple(map(repr, detection_probs(cfg))) == expected, cfg
 
 
-class TestSamplePhoton:
+class TestCountOutcomes:
     def test_no_blocker_every_u_hits_d1(self):
         assert count_outcomes(detection_probs(EVConfig()), [0.0, 0.4, 0.9999]) == (3, 0, 0)
 

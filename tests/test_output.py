@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullshadow import __version__, cli, output
+from nullshadow import __version__, _parts, cli, output
 from nullshadow.output import _CHUNK_ROWS, _PART_ROWS, ComputedRows, OutputRecord, render, write_record
 from reference import load_schema, read_csv_table
 
@@ -290,7 +290,7 @@ FORKS_UNDER_THREADS = pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead t
 
 def split_into(monkeypatch, parts):
     """Let render split a large table into ``parts`` parts here; the pids it forks, as it forks them."""
-    monkeypatch.setattr(output, "_single_threaded", lambda: True)
+    monkeypatch.setattr(_parts, "_single_threaded", lambda: True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
     forks, fork = [], os.fork
 
@@ -349,7 +349,7 @@ def test_a_split_table_renders_the_bytes_of_one_process(name, fmt, records, monk
 def test_characters_split_between_reads_of_a_pipe_arrive_whole(monkeypatch):
     record = table_record([[i, "\u00e9\u20ac\U0001d11e", None] for i in range(2 * _PART_ROWS)])
     forks = split_into(monkeypatch, 2)
-    monkeypatch.setattr(output, "_READ_BYTES", 5)
+    monkeypatch.setattr(_parts, "_READ_BYTES", 5)
     assert render(record, "csv") == reference_csv(record)
     assert len(forks) == 1
 
@@ -425,7 +425,7 @@ def test_a_helper_killed_while_it_writes_leaves_the_same_text(records, monkeypat
             return open(fd, *args, **kwargs)
         return HalfWritten(open(fd, "wb"), encoding="utf-8", newline="")
 
-    monkeypatch.setattr(output, "open", pipe_open, raising=False)
+    monkeypatch.setattr(_parts, "open", pipe_open, raising=False)
     assert render(record, "csv") == expected
     assert len(forks) == 1
 
@@ -489,15 +489,15 @@ def test_an_interrupt_while_helpers_run_leaves_no_process(records, monkeypatch):
 
 def test_a_process_without_fork_or_proc_encodes_alone(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(output, "_single_threaded", lambda: True)
-    assert output._parts(SPLIT_ROWS) == 4
-    assert output._parts(2 * _PART_ROWS - 1) == 1
+    monkeypatch.setattr(_parts, "_single_threaded", lambda: True)
+    assert _parts._count(SPLIT_ROWS, _PART_ROWS) == 4
+    assert _parts._count(2 * _PART_ROWS - 1, _PART_ROWS) == 1
     monkeypatch.delattr(os, "fork")
-    assert output._parts(SPLIT_ROWS) == 1
+    assert _parts._count(SPLIT_ROWS, _PART_ROWS) == 1
     monkeypatch.undo()
 
     def no_proc(path):
         raise FileNotFoundError(path)
 
     monkeypatch.setattr(os, "listdir", no_proc)
-    assert output._single_threaded() is False
+    assert _parts._single_threaded() is False
