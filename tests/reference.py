@@ -5,18 +5,21 @@ matrix and the projector onto a pure state, the generator and the staged
 RK4 step built from it, which the package's step is held within rounding
 of, the state check, the mean blackening law, a typed CSV reader, the
 loader of the record schema, the two basis states, and the scalar
-no-click state that ``dynamics.no_jump_series`` is compared with, and the
+no-click state that ``dynamics.no_jump_series`` is compared with, the
 per-time closed form that ``dynamics.no_click_populations`` is held
-bit-equal to.
+bit-equal to, and the JSON and CSV formats of a record, byte for byte
+(``reference_json`` and ``reference_csv``).
 """
 
 import cmath
 import csv
+import io
 import json
 import math
 from importlib import resources
 from typing import NamedTuple
 
+from nullshadow import __version__
 from nullshadow.core import QubitState, normalize
 
 
@@ -129,6 +132,29 @@ SCHEMA_RESOURCE = "output_record.schema.json"
 def load_schema():
     """The JSON schema that every JSON record must satisfy, from the data of the package under test."""
     return json.loads(resources.files("nullshadow.schemas").joinpath(SCHEMA_RESOURCE).read_text("utf-8"))
+
+
+def reference_json(record):
+    """The JSON format, byte for byte: json.dumps of the record at indent 2."""
+    data = {
+        "scenario": record.scenario,
+        "version": __version__,
+        "seed": record.seed,
+        "config": record.config,
+        "summary": record.summary,
+        "columns": list(record.columns),
+        "rows": record.rows[:],
+    }
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
+def reference_csv(record):
+    """The CSV format, byte for byte: one csv.writer over the header and every row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(record.columns)
+    writer.writerows(record.rows[:])
+    return buf.getvalue()
 
 
 def read_csv_table(path):

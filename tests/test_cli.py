@@ -23,10 +23,9 @@ from nullshadow.interferometer import OUTCOMES, EVConfig, count_outcomes, detect
 from nullshadow.master import MAX_STEPS
 from nullshadow.output import _CHUNK_ROWS, ComputedRows
 from nullshadow.streams import uniforms_at
-from reference import load_schema, read_csv_table
+from reference import load_schema, read_csv_table, reference_json
 from test_api import SRC, _fresh
 from test_interferometer import reference_fate
-from test_output import reference_json
 
 LN2 = math.log(2.0)
 

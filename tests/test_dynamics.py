@@ -195,7 +195,7 @@ class TestJumpHazard:
         assert deriv == pytest.approx(expected, abs=1e-6)
 
 
-class TestNoJumpSurvival:
+class TestSurvivalLaw:
     """The survival law S(t) = p0 + p1 e^(-gamma t), as the sampler and the
     conditioned state carry it."""
 
@@ -333,7 +333,7 @@ class TestRunTrajectory:
                 _check_window(argparse.Namespace(horizon=horizon, grid=2))
 
 
-class TestConditionalExcitedProb:
+class TestConditionedExcitedPopulation:
     """The excited population rho11 of the conditioned state."""
 
     @staticmethod
