@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullshadow import cli, output
+from nullshadow import _parts, cli, output
 from nullshadow.output import _CHUNK_ROWS, _PART_ROWS, ComputedRows, OutputRecord, render, write_record
 from reference import load_schema, read_csv_table, reference_csv, reference_json
 
@@ -295,3 +295,12 @@ def test_a_split_table_renders_the_bytes_of_one_process(name, fmt, records, spli
         text = render(record, fmt)
         assert (len(text), first_difference(text, expected)) == (len(expected), None), parts
         assert len(forks) == parts - 1
+
+
+# A helper's text is read in blocks that may end inside a character.
+def test_characters_split_between_reads_of_a_pipe_arrive_whole(split_into, monkeypatch):
+    record = table_record([[i, "\u00e9\u20ac\U0001d11e", None] for i in range(2 * _PART_ROWS)])
+    forks = split_into(2)
+    monkeypatch.setattr(_parts, "_READ_BYTES", 5)
+    assert render(record, "csv") == reference_csv(record)
+    assert len(forks) == 1
