@@ -8,7 +8,7 @@ it: importing the package, ``--version``, ``--help``, ``ev`` without
 before any array is built never load it.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 from .core import (
     AtomParams,

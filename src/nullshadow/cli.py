@@ -263,15 +263,17 @@ def cmd_decay_ensemble(args: argparse.Namespace) -> OutputRecord:
         n_atoms=args.n_atoms, initial=initial, params=params, base_seed=args.seed,
         premeasure=args.premeasure,
     )
+    p0, p1, n = abs(initial.a0) ** 2, abs(initial.a1) ** 2, cfg.n_atoms
     times = time_grid(args.horizon, args.grid)
     stats = run_ensemble(cfg, times)
 
     def rows(start: int, stop: int) -> list[list]:
-        counts = stats.blackened_count[start:stop].tolist()
-        excited = stats.survivor_excited_prob[start:stop].tolist()
-        if cfg.premeasure:  # NaN where no survivor is left: the value does not exist
-            excited = [None if math.isnan(p) else p for p in excited]
-        return [[t, c, c / cfg.n_atoms, p] for t, c, p in zip(times[start:stop], counts, excited)]
+        chunk, counts = times[start:stop], stats.blackened_count[start:stop].tolist()
+        if cfg.premeasure:  # every emitter was excited; no survivor is left where c == n
+            excited = [None if c == n else (stats.excited_count - c) / (n - c) for c in counts]
+        else:  # every survivor is in the one conditioned state
+            excited = no_click_populations(p0, p1, params.gamma, chunk)[0]
+        return [[t, c, c / n, p] for t, c, p in zip(chunk, counts, excited)]
 
     table = ComputedRows(len(times), rows)
     final = int(stats.blackened_count[-1])

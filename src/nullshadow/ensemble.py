@@ -2,16 +2,19 @@
 
 N atoms are prepared in the same superposed state, each in its own cell
 whose top acts as a photon detector: an emission permanently blackens
-that cell.  The run tracks the growing blackened count at the caller's
-times and the state of the not-yet-blackened survivors, which all share one
-conditioned superposition (they are indistinguishable) unless the
-``premeasure`` variant is enabled.
+that cell.  The run counts the blackened cells at the caller's times.
+Unless the ``premeasure`` variant is enabled, the not-yet-blackened
+survivors all share one conditioned superposition (they are
+indistinguishable), the closed form of
+:func:`nullshadow.dynamics.no_jump_series`; so the run returns counts only.
 
 ``premeasure`` projectively collapses every atom to ground or excited
 before the clock starts.  The blackening curve is then statistically
 identical, but survivors form a ground/excited mixture instead of a
-coherent conditioned state; exposing both variants side by side is the
-point of the module.
+coherent conditioned state: with ``excited_count`` atoms found excited
+and c blackened by t, the survivors' excited fraction is
+(excited_count - c) / (n_atoms - c), since every emitter was excited.
+Exposing both variants side by side is the point of the module.
 
 An atom's whole history is its first-emission time, so the ensemble is
 one array of jump times (``inf`` for atoms that never emit).  The config
@@ -21,10 +24,6 @@ argument of :func:`run_ensemble`.
 Reproducibility: atom ``i`` draws its variates from the hash substream
 ``(base_seed, i)`` (see :mod:`nullshadow.streams`), so a run is
 bit-identical for a given seed.
-
-The survivors' shared excited population is the closed form of
-:func:`nullshadow.dynamics.no_click_populations`, filled into one float
-array a slice of the requested times at a time.
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ from collections import namedtuple
 
 from . import _np as np
 from .core import MAX_COUNT, AtomParams, ConfigurationError, DensitySeries, QubitState, _make_checked
-from .dynamics import checked_times, no_click_populations, no_jump_series, sample_jump_times
+from .dynamics import checked_times, no_jump_series, sample_jump_times
 from .streams import uniforms_at
 
 # Fixed draw-slot layout of each atom's substream.
 SLOT_PREMEASURE = 0
 SLOT_JUMP = 1
-# Times per no_click_populations call: its Python lists stay this short.
-_SURVIVOR_SLICE = 4096
 
 
 class EnsembleConfig(namedtuple("EnsembleConfig", "n_atoms initial params base_seed premeasure",
@@ -63,8 +60,12 @@ class EnsembleConfig(namedtuple("EnsembleConfig", "n_atoms initial params base_s
         return self
 
 
-class EnsembleStats(namedtuple("EnsembleStats", "blackened_count survivor_excited_prob")):
-    """Aggregates at the requested times, two numpy arrays; counts are closed-interval (jump <= t)."""
+class EnsembleStats(namedtuple("EnsembleStats", "blackened_count excited_count")):
+    """Counts at the requested times: ``blackened_count``, a numpy integer array (jump <= t).
+
+    ``excited_count`` is the number of atoms the premeasurement found
+    excited, an int, or None without ``premeasure``.
+    """
 
     __slots__ = ()
 
@@ -93,26 +94,7 @@ def run_ensemble(cfg: EnsembleConfig, times: np.ndarray) -> EnsembleStats:
     weights = _excited_weights(cfg)
     jump_times = run_trajectories(cfg, weights)
     blackened = np.searchsorted(np.sort(jump_times), times, side="right")
-
-    if cfg.premeasure:
-        # Survivors are a ground/excited mixture; report the empirical
-        # excited fraction among them (NaN once no survivors remain).
-        # Emitters were necessarily excited.
-        n_excited = int(weights.sum())
-        survivors = cfg.n_atoms - blackened
-        with np.errstate(invalid="ignore"):
-            survivor_excited = np.where(
-                survivors > 0, (n_excited - blackened) / survivors, np.nan
-            )
-    else:
-        # All survivors share one conditioned state.
-        p0, p1 = abs(cfg.initial.a0) ** 2, abs(cfg.initial.a1) ** 2
-        flat, rho11 = times.ravel(), np.empty(times.size)
-        for start in range(0, flat.size, _SURVIVOR_SLICE):
-            span = slice(start, start + _SURVIVOR_SLICE)
-            rho11[span] = no_click_populations(p0, p1, cfg.params.gamma, flat[span].tolist())[0]
-        survivor_excited = rho11.reshape(times.shape)
-    return EnsembleStats(blackened, survivor_excited)
+    return EnsembleStats(blackened, int(weights.sum()) if cfg.premeasure else None)
 
 
 def trajectory_state_series(

@@ -90,7 +90,8 @@ def test_removed_members_are_gone():
     assert not hasattr(QubitState, "ground_population")
     # since 0.8.0 the config is the sample alone; run_ensemble takes the times
     assert list(EnsembleConfig._fields) == ["n_atoms", "initial", "params", "base_seed", "premeasure"]
-    assert list(EnsembleStats._fields) == ["blackened_count", "survivor_excited_prob"]
+    # since 0.22.0 the ensemble returns counts; the survivor column is the CLI's
+    assert list(EnsembleStats._fields) == ["blackened_count", "excited_count"]
     # since 0.9.0 the oracle window is built by its constructor alone
     assert list(MasterRunConfig._fields) == ["dt", "t_max", "points"]
     assert not hasattr(MasterRunConfig, "with_points")
@@ -109,7 +110,7 @@ RECORDS = {
     **{name: record for name, (record, *_) in VALIDATED.items()},
     "QubitState": HALF,
     "DensitySeries": DensitySeries([0.0], [1.0], [0.0], [0j]),
-    "EnsembleStats": EnsembleStats([0], [0.5]),
+    "EnsembleStats": EnsembleStats([0], 1),
     "OutputRecord": OutputRecord("ev", None, {}, {}, ["outcome"], [("D1",)]),
 }
 

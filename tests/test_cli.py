@@ -253,6 +253,7 @@ class TestDecayEnsemble:
 # subcommands, with the one-line error each prints.
 WINDOW_ERRORS = [
     (["--horizon", "0"], "horizon must be positive and finite, got 0.0"),
+    (["--horizon", "-1"], "horizon must be positive and finite, got -1.0"),
     (["--horizon=nan"], "horizon must be positive and finite, got nan"),
     (["--horizon=inf"], "horizon must be positive and finite, got inf"),
     (["--grid", "1"], "grid must be >= 2, got 1"),
@@ -262,7 +263,7 @@ WINDOW_ERRORS = [
 
 @pytest.mark.parametrize("base", [DECAY, COND, MASTER], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("flags, message", WINDOW_ERRORS,
-                         ids=["horizon=0", "horizon=nan", "horizon=inf", "grid=1", "grid=2**63"])
+                         ids=["horizon=0", "horizon=-1", "horizon=nan", "horizon=inf", "grid=1", "grid=2**63"])
 def test_window_error_lines(base, flags, message, capsys):
     assert run_cli(base + flags) == 2
     captured = capsys.readouterr()
@@ -404,6 +405,20 @@ class TestConditionalState:
         series = no_jump_series(QubitState.from_excited_probability(p_excited),
                                 AtomParams(0.0, 1.0, gamma), times)
         assert rows == np.column_stack([series.times, series.rho11, series.rho00]).tolist()
+
+
+@pytest.mark.parametrize("p_excited", ["1", "0.3"])
+def test_decay_survivor_column_is_the_conditional_state_column(p_excited, split_into, capsys):
+    # the silent atoms' one state is conditional-state's: the same closed
+    # form, computed chunk by chunk in each part's process (p0 = 0 at 1)
+    window = [f"--p-excited={p_excited}", "--gamma", "0.7", "--horizon", "30", "--grid", "4097"]
+    forks = split_into(2)
+    columns = []
+    for command, column in ((["decay-ensemble", "--n-atoms", "100"], 3), (["conditional-state"], 1)):
+        assert run_cli(command + window) == 0
+        columns.append([row[column].hex() for row in json.loads(capsys.readouterr().out)["rows"]])
+    assert len(forks) == 2
+    assert columns[0] == columns[1]
 
 
 class TestTimeGrid:

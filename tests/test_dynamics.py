@@ -1,4 +1,3 @@
-import argparse
 import cmath
 import math
 
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullshadow.cli import _check_window
 from nullshadow.core import (
     AtomParams,
     QubitState,
@@ -167,7 +165,7 @@ class TestNoClickPopulations:
             np.testing.assert_array_equal(got, want.reshape(times.shape))
 
 
-class TestJumpHazard:
+class TestEmissionRate:
     """The emission rate gamma * rho11 of the conditioned state."""
 
     def test_ground_cannot_radiate(self):
@@ -295,7 +293,7 @@ class TestSampleJumpTime:
                 assert t == pytest.approx(-math.log1p(-u / 0.5) / 1.3, rel=1e-15, abs=0.0)
 
 
-class TestRunTrajectory:
+class TestAtomFate:
     """One atom's fate over a horizon: it blackens iff its jump time is <= horizon."""
 
     def test_ground_atom_never_blackens(self):
@@ -325,12 +323,6 @@ class TestRunTrajectory:
         n = 1000
         times = sample_jump_times(HALF.excited_population, 1.0, (np.arange(n) + 0.5) / n)
         assert np.count_nonzero(times <= 1.5) + np.count_nonzero(times > 1.5) == n
-
-    def test_bad_horizon(self):
-        # the horizon is the CLI's: it bounds the grid, not the sample
-        for horizon in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="horizon must be positive and finite"):
-                _check_window(argparse.Namespace(horizon=horizon, grid=2))
 
 
 class TestConditionedExcitedPopulation:

@@ -18,7 +18,7 @@ from nullshadow.ensemble import (
     trajectory_state_series,
 )
 from nullshadow.streams import uniform_at, uniforms_at
-from reference import EXCITED, GROUND, density_from_state, expected_blackened, reference_no_jump
+from reference import GROUND, density_from_state, expected_blackened, reference_no_jump
 
 PARAMS = AtomParams(e0=0.0, e1=1.0, gamma=1.0)
 HALF = QubitState.from_excited_probability(0.5)
@@ -96,31 +96,37 @@ class TestRunTrajectories:
             assert np.array_equal(stats.blackened_count, counts)
             assert counts[4] == counts[5] + 1 and counts[7] == counts[8]
             if premeasure:
+                # the excited share among the silent atoms follows from the counts
                 excited = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < 0.5
                 silent = jump_times[:, None] > times
                 expected = (excited[:, None] & silent).sum(0) / silent.sum(0)
+                assert np.array_equal((stats.excited_count - counts) / (cfg.n_atoms - counts), expected)
             else:
-                expected = no_jump_series(HALF, PARAMS, times).rho11
-            assert np.array_equal(stats.survivor_excited_prob, expected)
+                assert stats.excited_count is None
 
 
 class TestRunEnsemble:
     def test_ground_atoms_never_blacken(self):
-        stats = run_ensemble(make_cfg(initial=GROUND, n_atoms=500), grid())
-        assert np.all(stats.blackened_count == 0)
-        assert np.all(stats.survivor_excited_prob == 0.0)
+        for premeasure, excited in ((False, None), (True, 0)):
+            stats = run_ensemble(make_cfg(initial=GROUND, n_atoms=500, premeasure=premeasure), grid())
+            assert np.all(stats.blackened_count == 0)
+            assert stats.excited_count == excited
 
     def test_grid_and_monotone_counts(self):
         cfg = make_cfg()
         stats = run_ensemble(cfg, grid())
-        assert len(stats.blackened_count) == len(stats.survivor_excited_prob) == len(grid())
+        assert stats.blackened_count.shape == grid().shape and stats.blackened_count.dtype.kind == "i"
         assert np.all(np.diff(stats.blackened_count) >= 0)
         assert stats.blackened_count[-1] <= cfg.n_atoms
 
     def test_survivor_curve_is_conditioned_population(self):
-        stats = run_ensemble(make_cfg(), grid())
-        expected = [reference_excited(float(t)) for t in grid()]
-        assert np.allclose(stats.survivor_excited_prob, expected, atol=1e-12)
+        # a silent atom is in the conditioned state, so it ever emits with
+        # probability rho11(t): of the n - c(t) silent at t, c(late) - c(t) do
+        cfg = make_cfg(n_atoms=100_000)
+        *counts, ever = run_ensemble(cfg, [*grid(), 1e300]).blackened_count.tolist()
+        for t, c in zip(grid(), counts):
+            expected, silent = reference_excited(float(t)), cfg.n_atoms - c
+            assert abs((ever - c) / silent - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / silent)
 
     def test_deterministic_across_threads_and_seeds(self, monkeypatch):
         # NULLSHADOW_THREADS is not read: even a malformed value changes nothing
@@ -129,7 +135,6 @@ class TestRunEnsemble:
         monkeypatch.setenv("NULLSHADOW_THREADS", "not-a-number")
         b = run_ensemble(cfg, grid())
         assert np.array_equal(a.blackened_count, b.blackened_count)
-        assert np.array_equal(a.survivor_excited_prob, b.survivor_excited_prob)
         c = run_ensemble(make_cfg(n_atoms=10_000, base_seed=43), grid())
         assert not np.array_equal(a.blackened_count, c.blackened_count)
 
@@ -178,25 +183,25 @@ class TestPremeasure:
         # survivors include both premeasured levels; every emitter was excited
         assert set(excited[survived].tolist()) == {False, True}
         assert np.all(excited[~survived])
-        # the survivors' excited fraction is the reported curve's last value
+        # the survivors' excited fraction follows from the counts
         stats = run_ensemble(cfg, grid(1.0))
-        assert stats.survivor_excited_prob[-1] == excited[survived].mean()
+        c = int(stats.blackened_count[-1])
+        assert stats.excited_count == np.count_nonzero(excited)
+        assert (stats.excited_count - c) / (cfg.n_atoms - c) == excited[survived].mean()
 
     def test_unmeasured_survivors_share_the_survivor_state(self):
-        # every silent atom rides the one conditioned state, whose excited
-        # population is the reported survivor curve
-        cfg = make_cfg(n_atoms=4000)
-        stats = run_ensemble(cfg, grid(1.0))
-        for t, reported in zip(grid(1.0), stats.survivor_excited_prob):
-            assert reference_excited(float(t)) == pytest.approx(reported, abs=1e-12)
+        # without the premeasurement no atom has a level of its own to count:
+        # every silent atom rides the one conditioned state, no_jump_series'
+        assert run_ensemble(make_cfg(n_atoms=4000), grid(1.0)).excited_count is None
+        measured = run_ensemble(make_cfg(n_atoms=4000, premeasure=True), grid(1.0))
+        assert type(measured.excited_count) is int
 
     def test_empirical_survivor_curve_tracks_conditional_formula(self):
         cfg = make_cfg(n_atoms=100_000, premeasure=True)
         stats = run_ensemble(cfg, grid(2.0, 5))
-        for t, frac, count in zip(
-            grid(2.0, 5), stats.survivor_excited_prob, stats.blackened_count
-        ):
+        for t, count in zip(grid(2.0, 5), stats.blackened_count.tolist()):
             survivors = cfg.n_atoms - count
+            frac = (stats.excited_count - count) / survivors
             expected = reference_excited(float(t))
             sigma = math.sqrt(max(expected * (1 - expected), 0.05) / survivors)
             assert abs(frac - expected) <= 4.0 * sigma
@@ -219,16 +224,10 @@ class TestPremeasure:
         cfg = make_cfg(n_atoms=1000, initial=QubitState.from_excited_probability(0.3), params=params,
                        base_seed=4, premeasure=True)
         p1 = cfg.initial.excited_population
-        drawn = (uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < p1).mean()
+        drawn = np.count_nonzero(uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < p1)
         stats = run_ensemble(cfg, grid(5.0))
         assert np.all(stats.blackened_count == 0)
-        assert np.all(stats.survivor_excited_prob == drawn)
-
-    def test_no_survivors_yields_nan(self):
-        cfg = make_cfg(n_atoms=200, initial=EXCITED, premeasure=True)
-        stats = run_ensemble(cfg, grid(80.0))
-        assert stats.blackened_count[-1] == 200
-        assert math.isnan(stats.survivor_excited_prob[-1])
+        assert stats.excited_count == drawn
 
 
 class TestTrajectoryStateSeries:
