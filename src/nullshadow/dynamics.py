@@ -36,12 +36,11 @@ def sample_jump_times(p1: float | np.ndarray, gamma: float, u: np.ndarray) -> np
     so a uniform u >= p1 lands in the never-emits mass (``inf``) and
     u < p1 maps to t* = -ln(1 - u / p1) / gamma.  For gamma = 0 there is
     no decay channel and every time is ``inf``.  ``p1`` is one weight
-    shared by all atoms, or one weight per atom.
+    shared by all atoms, or one weight per atom (a bool mask counts as
+    1.0 and 0.0).  Each u must lie in [0, 1), as ``streams``' draws do.
     """
     u = np.asarray(u, dtype=float)
-    p1 = np.broadcast_to(np.asarray(p1, dtype=float), u.shape)
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError("uniform variates must lie in [0, 1)")
+    p1 = np.broadcast_to(p1, u.shape)
     times = np.full(u.shape, np.inf)
     if gamma == 0.0:
         return times

@@ -116,9 +116,8 @@ def trajectory_state_series(
 
 
 def _excited_weights(cfg: EnsembleConfig) -> float | np.ndarray:
-    """Excited probability at t = 0: shared, or per atom (0/1) if premeasured."""
+    """Excited probability at t = 0: shared, or per atom (a bool mask) if premeasured."""
     p1 = cfg.initial.excited_population
     if not cfg.premeasure:
         return p1
-    u = uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE)
-    return (u < p1).astype(float)
+    return uniforms_at(cfg.base_seed, np.arange(cfg.n_atoms), SLOT_PREMEASURE) < p1

@@ -8,9 +8,9 @@ or thread count, and the same triple yields the same variate on every
 machine.
 
 The mixing function is the standard splitmix64 finalizer; substream
-seeds are spaced by the 64-bit golden-ratio increment.  Both a scalar
-path (plain ints) and a vectorized path (uint64 numpy arrays) are
-provided and produce identical values.
+seeds are spaced by the 64-bit golden-ratio increment.  Each is written
+once, in expressions that run on a Python int (masked to 64 bits) and on
+a uint64 numpy array (whose arithmetic wraps mod 2**64) alike.
 """
 
 from __future__ import annotations
@@ -23,36 +23,36 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer: bijective avalanche mix of a 64-bit word."""
+def mix64(z: int | np.ndarray) -> int | np.ndarray:
+    """splitmix64 finalizer of an int, or of a uint64 array in place."""
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
+        z &= MASK64
+        z ^= z >> shift
+        z *= multiplier
     z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
+    z ^= z >> 31
+    return z
 
 
-def draw_u64(base_seed: int, index: int, slot: int) -> int:
-    """64-bit word for draw ``slot`` of substream ``index``."""
-    stream = mix64((base_seed + GOLDEN * (index + 1)) & MASK64)
-    return mix64((stream + GOLDEN * (slot + 1)) & MASK64)
+def draw_u64(base_seed: int, index: int | np.ndarray, slot: int) -> int | np.ndarray:
+    """Word for draw ``slot`` of substream ``index`` (an int or a uint64 array); ints wrap mod 2**64."""
+    word = mix64(GOLDEN * index + (base_seed + GOLDEN & MASK64))
+    word += GOLDEN * (slot + 1) & MASK64
+    return mix64(word)
 
 
 def uniform_at(base_seed: int, index: int, slot: int) -> float:
     """Uniform variate in [0, 1) with 53 random bits."""
-    return (draw_u64(base_seed, index, slot) >> 11) * (1.0 / (1 << 53))
+    return _uniform(base_seed, index, slot)
 
 
 def uniforms_at(base_seed: int, indices: np.ndarray, slot: int) -> np.ndarray:
-    """Vectorized ``uniform_at`` over an array of substream indices."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    base = np.uint64((base_seed + GOLDEN) & MASK64)
-    slot_off = np.uint64((GOLDEN * (slot + 1)) & MASK64)
-    stream = _mix64_array(base + np.uint64(GOLDEN) * idx)
-    words = _mix64_array(stream + slot_off)
-    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    """``uniform_at`` over an array of substream indices."""
+    return _uniform(base_seed, np.asarray(indices, dtype=np.uint64), slot)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _uniform(base_seed: int, index: int | np.ndarray, slot: int) -> float | np.ndarray:
+    # Neither wrapper calls the other, so a call is one draw or one array of them.
+    word = draw_u64(base_seed, index, slot)
+    word >>= 11
+    return word * 2.0**-53

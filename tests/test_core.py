@@ -96,7 +96,7 @@ class TestNormalize:
             assert normalize(state) == QubitState(state.a0 / n, state.a1 / n)
 
 
-class TestFreeEvolve:
+class TestNoJumpSeriesWithoutDecay:
     """Without a decay channel the conditioned state only turns its phases."""
 
     def test_t_zero_is_identity(self):
@@ -143,7 +143,7 @@ class TestFreeEvolve:
             evolved(HALF, FREE, -0.5)
 
 
-class TestFidelity:
+class TestProjectorOverlap:
     """States are compared through their projectors, blind to global phase."""
 
     def test_self_fidelity(self):

@@ -242,17 +242,15 @@ class TestSampleJumpTime:
         # no decay channel: the jump time is inf ("never")
         assert sample_jump_times(1.0, 0.0, [0.1])[0] == np.inf
 
-    def test_u_domain(self):
-        with pytest.raises(ValueError):
-            sample_jump_times(0.5, PARAMS.gamma, [1.0])
-        with pytest.raises(ValueError):
-            sample_jump_times(0.5, PARAMS.gamma, [0.2, math.nan])
-
     def test_per_atom_weights(self):
         # premeasured atoms: weight 1 jumps as excited, weight 0 never
         times = sample_jump_times(np.array([1.0, 0.0, 1.0]), 2.0, [0.5, 0.5, 0.0])
         assert times[0] == pytest.approx(LN2 / 2.0, abs=1e-15)
         assert times[1] == np.inf and times[2] == 0.0
+        # a bool mask, as premeasure makes it, gives the same bits
+        us = uniforms_at(3, np.arange(1000), 1)
+        mask = uniforms_at(3, np.arange(1000), 0) < 0.5
+        assert np.array_equal(sample_jump_times(mask, 2.0, us), sample_jump_times(mask.astype(float), 2.0, us))
 
     @pytest.mark.parametrize("p1", [1.0, 0.5])
     def test_ugrid_supnorm_matches_survival_law(self, p1):

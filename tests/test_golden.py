@@ -15,7 +15,7 @@ environment equals the header's, and elsewhere the byte test skips with a
 reason naming both.  A second test runs three lines in child processes,
 once with every SIMD target that numpy dispatches to on this CPU and once
 with all of them turned off, and requires the same stdout from both.  A
-third runs the lines whose tables are large enough to be encoded by
+third runs the seven lines whose tables are large enough to be encoded by
 several processes in child processes, once so and once pinned to one CPU,
 and requires the same file from both and, where the environment matches,
 the golden digest: this process has numpy's BLAS threads, so it encodes
@@ -210,7 +210,20 @@ SPLIT_LINES = [
      "--seed", "1", "--format", "csv", "--out", OUT],
     ["decay-ensemble", "--p-excited", "0.5", "--n-atoms", "1000", "--horizon", "5", "--grid", "9001",
      "--seed", "1", "--format", "json", "--out", OUT],
+    # The survivor column's first null is in row 6 010, so in a later part.
+    *[["decay-ensemble", "--premeasure", "--p-excited", "1", "--n-atoms", "1000", "--horizon", "10",
+       "--grid", "9001", "--seed", "1", "--format", fmt, "--out", OUT] for fmt in ("csv", "json")],
+    # A grid finer than the 10 000 steps records every step: 10 001 rows.
+    *[["master-check", "--p-excited", "0.5", "--n-traj", "1000", "--horizon", "5", "--dt", "0.0005",
+       "--grid", "9001", "--format", fmt, "--out", OUT] for fmt in ("csv", "json")],
 ]
+
+
+def _split_id(argv: list[str]) -> str:
+    kind = f"{argv[0]}-premeasure" if "--premeasure" in argv else argv[0]
+    return f"{kind}-{argv[-3]}"
+
+
 PINNED_OR_NOT = """
 import os, sys
 import nullshadow.__main__ as m
@@ -221,7 +234,7 @@ sys.exit(m.run(sys.argv[2:]))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a process to one CPU by sched_setaffinity")
-@pytest.mark.parametrize("argv", SPLIT_LINES, ids=lambda argv: f"{argv[0]}-{argv[-3]}")
+@pytest.mark.parametrize("argv", SPLIT_LINES, ids=_split_id)
 def test_bytes_do_not_depend_on_the_split(argv, golden, tmp_path):
     digests = []
     for mode in ("split", "one-cpu"):
