@@ -23,7 +23,7 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from . import __version__, _np as np
 from .core import MAX_COUNT, AtomParams, ConfigurationError, QubitState, normalize
@@ -77,11 +77,36 @@ class _Parser(argparse.ArgumentParser):
     a message for stderr is still ignored.  A closed stdout is None, which
     argparse would swap for stderr; a usage error with stderr closed exits
     2 with nothing printed.  Subcommand parsers take this class too.
+
+    ``flags(parser)``, when given, declares the parser's arguments.  It
+    runs once, just before the parser first parses (argparse hands a
+    subcommand's arguments to its parser's ``parse_known_args``) or formats
+    its usage or help, so a launch declares the flags of the subcommand it
+    runs and of no other.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, flags: Callable[[argparse.ArgumentParser], None] | None = None,
+                 **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NegativeNumber
+        self._flags = flags
+
+    def _declare_flags(self) -> None:
+        flags, self._flags = self._flags, None
+        if flags is not None:
+            flags(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._declare_flags()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._declare_flags()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._declare_flags()
+        return super().format_help()
 
     def _print_message(self, message: str, file=None) -> None:
         if file is sys.stdout:
@@ -105,12 +130,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
+    sub.add_parser(
         "decay-ensemble",
         help="simulate N atoms in detector cells and tabulate the blackening curve",
         epilog=_columns_epilog("decay-ensemble"),
+        flags=_decay_ensemble_flags,
     )
+    sub.add_parser(
+        "conditional-state",
+        help="analytic survivor state under no-emission conditioning (no sampling)",
+        epilog=_columns_epilog("conditional-state"),
+        flags=_conditional_state_flags,
+    )
+    sub.add_parser(
+        "ev",
+        help="two-splitter interferometer with optional blocker",
+        epilog="output columns: outcome, probability (plus count, frequency when "
+        "--shots > 0); outcome order is D1, D2, Absorbed",
+        flags=_ev_flags,
+    )
+    sub.add_parser(
+        "master-check",
+        help="compare the trajectory average against the master-equation oracle",
+        epilog=_columns_epilog("master-check") + "; exits 3 when max_deviation exceeds --tol",
+        flags=_master_check_flags,
+    )
+    return parser
+
+
+def _decay_ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-atoms", type=int, required=True, help="number of atoms / cells")
     _add_state_flags(p)
     _add_atom_flags(p)
@@ -125,11 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_decay_ensemble)
 
-    p = sub.add_parser(
-        "conditional-state",
-        help="analytic survivor state under no-emission conditioning (no sampling)",
-        epilog=_columns_epilog("conditional-state"),
-    )
+
+def _conditional_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-excited", type=float, required=True, help="initial excited probability")
     p.add_argument("--gamma", type=float, default=1.0, help="spontaneous decay rate")
     p.add_argument("--horizon", type=float, required=True, help="last tabulated time")
@@ -137,12 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_conditional_state)
 
-    p = sub.add_parser(
-        "ev",
-        help="two-splitter interferometer with optional blocker",
-        epilog="output columns: outcome, probability (plus count, frequency when "
-        "--shots > 0); outcome order is D1, D2, Absorbed",
-    )
+
+def _ev_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blocker", choices=["none", "a", "b"], default="none", help="blocked arm")
     p.add_argument("--t1", type=float, default=0.5, help="power transmissivity of splitter 1")
     p.add_argument("--t2", type=float, default=0.5, help="power transmissivity of splitter 2")
@@ -153,11 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_ev)
 
-    p = sub.add_parser(
-        "master-check",
-        help="compare the trajectory average against the master-equation oracle",
-        epilog=_columns_epilog("master-check") + "; exits 3 when max_deviation exceeds --tol",
-    )
+
+def _master_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-excited", type=float, required=True, help="initial excited probability")
     _add_atom_flags(p)
     p.add_argument("--n-traj", type=int, required=True, help="number of trajectories")
@@ -173,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(p)
     p.set_defaults(func=cmd_master_check)
-
-    return parser
 
 
 def _columns_epilog(command: str) -> str:

@@ -25,14 +25,15 @@ by one join of its pieces and written in slices, so rendering and
 writing peak at about two copies of the text.  A record file is written
 beside its path and renamed over it after the last byte, so a failed
 write leaves no partial record.
+
+Each format loads its own encoder when it renders: ``json`` for a JSON
+record and ``csv`` for a CSV one, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
-import csv
 import errno
 import io
-import json
 import os
 import stat
 import sys
@@ -79,7 +80,6 @@ class ComputedRows:
 # laid out with nothing between its brackets is an empty row.
 _CELL_SEP = ",\n      "
 _ROW_BOUNDARY = "]" + _CELL_SEP + "["
-_ROWS_ENCODER = json.JSONEncoder(separators=(_CELL_SEP, ": "), allow_nan=False)
 _ROW_START, _ROW_END, _ROW_SEP = "[\n      ", "\n    ]", ",\n    "
 _ROW_JOIN = _ROW_END + _ROW_SEP + _ROW_START
 _EMPTY_ROW = _ROW_START + _ROW_END
@@ -102,6 +102,9 @@ _WRITE_CHARS = 1 << 20
 
 def render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
+        import json  # here, so that a CSV run, --version and --help load no JSON encoder
+
+        encode = json.JSONEncoder(separators=(_CELL_SEP, ": "), allow_nan=False).encode
         head = {
             "scenario": record.scenario,
             "version": __version__,
@@ -113,7 +116,7 @@ def render(record: OutputRecord, fmt: str) -> str:
         text = json.dumps(head, indent=2, allow_nan=False)
         # a chunk that does not start the table begins with the separator between two rows
         rows = pieces(len(record.rows), _CHUNK_ROWS, _PART_ROWS,
-                      lambda a, b: (_ROW_SEP if a else "") + _chunk_json(record.rows[a:b]))
+                      lambda a, b: (_ROW_SEP if a else "") + _chunk_json(encode, record.rows[a:b]))
         table = ["[\n    ", *rows, "\n  ]"] if rows else ["[]"]
         return "".join([text[: -len("\n}")], ',\n  "rows": ', *table, "\n}\n"])
     if fmt == "csv":
@@ -202,13 +205,18 @@ def _write_slices(fh: io.TextIOBase, text: str) -> None:
 
 
 def _chunk_csv(rows: Sequence[Sequence[object]]) -> str:
+    import csv  # here, so that only a CSV run loads it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _chunk_json(rows: Sequence[Sequence[object]]) -> str:
-    """The rows of one chunk, each laid out as in the record, comma-separated."""
-    text = _ROWS_ENCODER.encode(rows)
+def _chunk_json(encode: Callable[[object], str], rows: Sequence[Sequence[object]]) -> str:
+    """The rows of one chunk, each laid out as in the record, comma-separated.
+
+    ``encode`` is ``render``'s row encoder, which separates items by ``_CELL_SEP``.
+    """
+    text = encode(rows)
     laid_out = f"{_ROW_START}{text[2:-2].replace(_ROW_BOUNDARY, _ROW_JOIN)}{_ROW_END}"
     return laid_out.replace(_EMPTY_ROW, "[]")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import nullshadow
+from nullshadow import cli
 from nullshadow.core import AtomParams, ConfigurationError, DensitySeries, QubitState
 from nullshadow.ensemble import EnsembleConfig, EnsembleStats
 from nullshadow.interferometer import EVConfig
@@ -205,17 +207,20 @@ def _fresh(code: str, *args: str, flags: tuple[str, ...] = (), env: dict[str, st
     return json.loads(proc.stdout)
 
 
-# Runs cli.main on the argv given as JSON, its output discarded, and
-# prints the exit code and whether numpy was loaded.
+# Runs cli.main on the argv given as its own arguments, its output
+# discarded, and prints the exit code and which of csv, json and numpy the
+# run loaded; json is imported only to print that.
 _RUN_MAIN = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from nullshadow import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        code = cli.main(json.loads(sys.argv[1]))
+        code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, "numpy" in sys.modules]))
+loaded = [name for name in ("csv", "json", "numpy") if name in sys.modules]
+import json
+print(json.dumps([code, loaded]))
 """
 
 WITHOUT_ARRAYS = {
@@ -252,12 +257,38 @@ def test_importing_the_package_loads_no_numpy():
 
 @pytest.mark.parametrize("argv, code", WITHOUT_ARRAYS.values(), ids=WITHOUT_ARRAYS)
 def test_runs_that_build_no_array_load_no_numpy(argv, code):
-    assert _fresh(_RUN_MAIN, json.dumps(argv)) == [code, False]
+    exit_code, loaded = _fresh(_RUN_MAIN, *argv)
+    assert exit_code == code and "numpy" not in loaded
 
 
 def test_a_sampled_run_loads_numpy():
     # the check above would hold vacuously if the child could not see numpy at all
-    assert _fresh(_RUN_MAIN, json.dumps(["ev", "--blocker", "b", "--shots", "10"])) == [0, True]
+    assert "numpy" in _fresh(_RUN_MAIN, "ev", "--blocker", "b", "--shots", "10")[1]
+
+
+# -S keeps site's own imports out, so nothing but the run can load them.
+ENCODERS_LOADED = {
+    "version": (WITHOUT_ARRAYS["version"][0], []),
+    "help": (WITHOUT_ARRAYS["help"][0], []),
+    "subcommand-help": (["conditional-state", "--help"], []),
+    "usage-error": (WITHOUT_ARRAYS["usage-error"][0], []),
+    "csv-run": (WITHOUT_ARRAYS["conditional-state-csv"][0], ["csv"]),
+    "json-run": (WITHOUT_ARRAYS["conditional-state-json"][0], ["json"]),
+}
+
+
+@pytest.mark.parametrize("argv, loaded", ENCODERS_LOADED.values(), ids=ENCODERS_LOADED)
+def test_a_launch_loads_the_encoder_of_its_own_format_only(argv, loaded):
+    assert _fresh(_RUN_MAIN, *argv, flags=("-S",))[1] == loaded
+
+
+def test_a_parse_declares_the_flags_of_its_subcommand_only():
+    parser = cli.build_parser()
+    assert parser.parse_args(["ev", "--blocker", "b"]).blocker == "b"
+    [subcommands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    declared = {name: [action.dest for action in sub._actions] for name, sub in subcommands.choices.items()}
+    assert declared.pop("ev")[:3] == ["help", "blocker", "t1"]
+    assert declared == {name: ["help"] for name in ("decay-ensemble", "conditional-state", "master-check")}
 
 
 # Runs cli.main and then the process entry on the argv given as JSON, their
@@ -346,12 +377,16 @@ def test_the_cli_imports_no_dataclasses_inspect_or_numpy():
     # inspect, ast, dis and tokenize, and typing costs 6-8 ms.  -S keeps
     # site's own imports out, so a .pth file that loads typing first (as
     # certifi's can) cannot hide a record or annotation that imports it.
+    # Nor does it load either output encoder, json or csv, before a run
+    # renders in their format.
     code = """
-import json, sys
+import sys
 before = set(sys.modules)
 import nullshadow.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+new = sorted(set(sys.modules) - before)
+import json
+print(json.dumps(new))
 """
     new = set(_fresh(code, flags=("-S",)))
     assert "nullshadow.cli" in new
-    assert not new & {"dataclasses", "inspect", "numpy", "typing"}
+    assert not new & {"csv", "dataclasses", "inspect", "json", "numpy", "typing"}
